@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short test-race vet bench bench-json bench-baseline bench-gate trace-sample repro repro-quick resume-demo serve-smoke load-gate cluster-gate extensions examples fuzz golden clean
+.PHONY: all test test-short test-race vet bench bench-json bench-baseline bench-gate trace-sample repro repro-quick resume-demo serve-smoke load-gate cluster-gate perfbench-build extensions examples fuzz golden clean
 
 all: test
 
@@ -96,6 +96,12 @@ load-gate:
 # aegis.load/v1 report lands in out/cluster-gate/.
 cluster-gate:
 	sh scripts/cluster_gate.sh out/cluster-gate
+
+# The benchmark (perfbench/) is its own module, so `go build ./...`
+# never compiles it; vet and test it explicitly so a change to the
+# serve, cluster or engine API cannot break it silently.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # All extension experiments (ablations + substrate studies).
 extensions:

@@ -122,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		journal   = fs.String("journal", "", "job journal file (schema aegis.journal/v1; empty = jobs die with the process)")
 		journalMB = fs.Int64("journal-max-bytes", 0, "journal size bound; exceeding appends trigger compaction (0 = unbounded)")
 		shards    = fs.Int("shards", 8, "default shards per job")
-		engineW   = fs.Int("engine-workers", 0, "shards computed concurrently per job (0 = NumCPU)")
+		engineW   = fs.Int("engine-workers", 0, "shards computed (on a coordinator: leased) concurrently per job (0 = NumCPU)")
 		jobTO     = fs.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
 		tenantQ   = fs.Int("tenant-queue", 0, "max queued jobs per tenant before 429 (0 = the full queue)")
 		tenantIF  = fs.Int("tenant-inflight", 0, "max queued+running jobs per tenant before 429 (0 = unbounded)")
@@ -192,8 +192,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *role == "coordinator" {
 		coord := cluster.NewCoordinator(cluster.Options{
-			CacheDir:     *cacheDir,
-			FanOut:       *engineW,
 			HeartbeatTTL: *hbTTL,
 			LeaseTimeout: *leaseTO,
 			MaxAttempts:  *leaseTries,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"math"
 	"net/http"
@@ -20,15 +19,11 @@ import (
 
 // Options configures a Coordinator.  The zero value is usable.
 type Options struct {
-	// CacheDir, when set, is the coordinator's shard cache: completed
-	// leases are persisted there and later jobs (or re-issued leases)
-	// are served from it.  Point it at the same directory a standalone
-	// daemon would use and the two share work.
+	// Deprecated: ignored.  Cluster jobs cache shards in the serving
+	// daemon's serve.Options.CacheDir.
 	CacheDir string
-	// FanOut is the number of leases in flight per job (0 = 4) — the
-	// cluster analogue of Engine.Workers.  cmd/aegisd maps
-	// -engine-workers here, so the result's sharding block matches the
-	// standalone run's.
+	// Deprecated: ignored.  Leases in flight per job follow the serving
+	// daemon's serve.Options.EngineWorkers.
 	FanOut int
 	// HeartbeatTTL is how long a worker registration lives without a
 	// heartbeat (default 10s).
@@ -58,9 +53,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FanOut <= 0 {
-		o.FanOut = 4
-	}
 	if o.HeartbeatTTL <= 0 {
 		o.HeartbeatTTL = 10 * time.Second
 	}
@@ -77,18 +69,10 @@ func (o Options) withDefaults() Options {
 		o.WorkerWait = 30 * time.Second
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(discardHandler{})
+		o.Logger = slog.New(obs.DiscardHandler{})
 	}
 	return o
 }
-
-// discardHandler drops every record (mirrors serve's noop logger).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // metrics is the coordinator's aegis_cluster_* instrument set.
 type metrics struct {
@@ -120,11 +104,12 @@ func newMetrics(m *obs.Metrics, reg *registry) *metrics {
 	}
 }
 
-// Coordinator fans each job's shards out over the registered worker
-// fleet.  It implements serve.Runner, so a serve.Server with the
-// coordinator installed accepts jobs through the ordinary API and
-// answers with results byte-identical to a standalone run.  Safe for
-// concurrent use; one coordinator serves every job of its daemon.
+// Coordinator leases shards to the registered worker fleet.  It
+// implements serve.Runner, so a serve.Server with the coordinator
+// installed runs jobs through the ordinary API and engine, leasing each
+// cache miss instead of simulating it, and answers with results
+// byte-identical to a standalone run.  Safe for concurrent use; one
+// coordinator serves every job of its daemon.
 type Coordinator struct {
 	opts Options
 	reg  *registry
@@ -200,201 +185,53 @@ func (c *Coordinator) handleListWorkers(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]any{"workers": c.reg.snapshot()})
 }
 
-// RunJob implements serve.Runner: split the job into content-addressed
-// shards, serve what the local cache already holds, lease the rest to
-// workers (stealing failed leases), merge, and return the full-range
-// shard.  Cache and progress accounting mirror engine.oneShard line for
-// line — that is what keeps a cluster job's result document
-// byte-identical to the standalone engine's.
-func (c *Coordinator) RunJob(ctx context.Context, job serve.RunnerJob) (*engine.Shard, error) {
-	cfg := job.Config
-	schemeName := job.Factory.Name()
-	hash := engine.ConfigHash(cfg, job.Kind, job.Curve)
-	code := obs.GitSHA()
-
-	kShards := job.Shards
-	if kShards < 1 {
-		kShards = 1
-	}
-	if kShards > cfg.Trials {
-		kShards = cfg.Trials
-	}
-	ranges := engine.SplitTrials(cfg.Trials, kShards)
-	shards := make([]*engine.Shard, len(ranges))
-
-	var (
-		failMu   sync.Mutex
-		firstErr error
-	)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	fail := func(err error) {
-		failMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		failMu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
-	stopReason := func() error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		select {
-		case <-job.Drain:
-			return engine.ErrDraining
-		default:
-		}
-		return nil
-	}
-
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := range ranges {
-			if err := stopReason(); err != nil {
-				fail(err)
-				return
-			}
-			select {
-			case next <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	fan := c.opts.FanOut
-	if fan > len(ranges) {
-		fan = len(ranges)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < fan; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := stopReason(); err != nil {
-					fail(err)
-					return
-				}
-				lo := cfg.TrialOffset + ranges[i][0]
-				hi := cfg.TrialOffset + ranges[i][1]
-				s, err := c.oneShard(ctx, job, hash, schemeName, code, lo, hi)
-				if err != nil {
-					fail(err)
-					return
-				}
-				shards[i] = s
-			}
-		}()
-	}
-	wg.Wait()
-
-	failMu.Lock()
-	err := firstErr
-	failMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return engine.Merge(shards)
-}
-
-// oneShard produces the shard covering global trials [lo, hi): the
-// coordinator's cache is consulted first, mirroring engine.oneShard's
-// accounting exactly (hit: progress + CacheHits credit; absent or
-// corrupt: lease it out; incompatible: refuse), then the lease is
-// dispatched — and re-dispatched past failing workers — until a worker
-// returns a shard that validates at the expected address.
-func (c *Coordinator) oneShard(ctx context.Context, job serve.RunnerJob, hash, schemeName, code string, lo, hi int) (*engine.Shard, error) {
-	cfg := job.Config
-	key := engine.ShardKey(hash, schemeName, lo, hi, code)
+// LeaseShard implements serve.Runner: it builds the lease for one
+// shard task of a job and dispatches it until a worker returns a shard
+// that validates at the task's address.
+func (c *Coordinator) LeaseShard(ctx context.Context, job serve.RunnerJob, t engine.ShardTask) (*engine.Shard, error) {
 	logger := c.log
 	if job.Logger != nil {
 		logger = job.Logger
 	}
-	logger = logger.With(
-		slog.String("shard_key", shortKey(key)),
-		slog.Int("trial_lo", lo),
-		slog.Int("trial_hi", hi))
-
-	if c.opts.CacheDir != "" {
-		s, err := engine.LoadShard(engine.ShardPath(c.opts.CacheDir, key), key, hash, schemeName, job.Kind, lo, hi)
-		switch {
-		case err == nil:
-			cfg.Progress.AddTotal(s.Trials())
-			cfg.Progress.Done(s.Trials())
-			cfg.Progress.CacheHit(1)
-			if cfg.Obs != nil {
-				cfg.Obs.Shards().CacheHits.Inc()
-			}
-			logger.Info("shard cache hit")
-			return s, nil
-		case errors.Is(err, fs.ErrNotExist), errors.Is(err, engine.ErrCorruptShard):
-			// An ordinary miss: lease it out.
-		default:
-			return nil, err
-		}
-	}
-
-	cfg.Progress.CacheMiss(1)
-	if cfg.Obs != nil {
-		cfg.Obs.Shards().CacheMisses.Inc()
-	}
-
 	lease := Lease{
 		Schema:     LeaseSchema,
 		JobID:      job.JobID,
 		Spec:       job.Request,
-		SchemeName: schemeName,
-		Kind:       job.Kind,
-		Curve:      job.Curve,
-		ConfigHash: hash,
-		ShardKey:   key,
-		TrialLo:    lo,
-		TrialHi:    hi,
+		SchemeName: t.Scheme,
+		Kind:       t.Kind,
+		Curve:      t.Curve,
+		ConfigHash: t.ConfigHash,
+		ShardKey:   t.Key,
+		TrialLo:    t.Lo,
+		TrialHi:    t.Hi,
 	}
-	s, worker, err := c.dispatch(ctx, job, &lease, logger)
-	if err != nil {
-		return nil, err
-	}
-	// Remote compute happened against the worker's progress-free
-	// configuration; credit the job's progress here so a cluster job
-	// reports the same totals a local run would.
-	cfg.Progress.AddTotal(s.Trials())
-	cfg.Progress.Done(s.Trials())
-	if c.opts.CacheDir != "" {
-		if _, err := engine.WriteShard(c.opts.CacheDir, s); err != nil {
-			return nil, fmt.Errorf("cluster: persist shard from worker %s: %w", worker, err)
-		}
-		if cfg.Obs != nil {
-			cfg.Obs.Shards().Persisted.Inc()
-		}
-	}
-	return s, nil
+	return c.dispatch(ctx, job.Drain, &lease, logger.With(
+		slog.String("shard_key", shortKey(t.Key)),
+		slog.Int("trial_lo", t.Lo),
+		slog.Int("trial_hi", t.Hi)))
 }
 
 // dispatch offers a lease to workers until one returns a valid shard:
 // round-robin placement, per-attempt deadline, failed workers dropped
 // from the fleet and excluded from this lease's re-issues, jittered
 // exponential backoff between attempts, and a bounded attempt count.
-func (c *Coordinator) dispatch(ctx context.Context, job serve.RunnerJob, lease *Lease, logger *slog.Logger) (*engine.Shard, string, error) {
+func (c *Coordinator) dispatch(ctx context.Context, drain <-chan struct{}, lease *Lease, logger *slog.Logger) (*engine.Shard, error) {
 	exclude := make(map[string]bool)
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
-		if err := drainOrCtxErr(ctx, job.Drain); err != nil {
-			return nil, "", err
+		if err := drainOrCtxErr(ctx, drain); err != nil {
+			return nil, err
 		}
-		name, baseURL, ok := c.pickWorker(ctx, job.Drain, exclude)
+		name, baseURL, ok := c.pickWorker(ctx, drain, exclude)
 		if !ok {
-			if err := drainOrCtxErr(ctx, job.Drain); err != nil {
-				return nil, "", err
+			if err := drainOrCtxErr(ctx, drain); err != nil {
+				return nil, err
 			}
 			if lastErr != nil {
-				return nil, "", fmt.Errorf("cluster: no live worker for shard %.12s… after %d attempts: %w",
+				return nil, fmt.Errorf("cluster: no live worker for shard %.12s… after %d attempts: %w",
 					lease.ShardKey, attempt, lastErr)
 			}
-			return nil, "", fmt.Errorf("cluster: no workers registered within %s", c.opts.WorkerWait)
+			return nil, fmt.Errorf("cluster: no workers registered within %s", c.opts.WorkerWait)
 		}
 		lease.Attempt = attempt
 		lease.LeaseID = fmt.Sprintf("%s-a%d", shortKey(lease.ShardKey), attempt)
@@ -414,11 +251,11 @@ func (c *Coordinator) dispatch(ctx context.Context, job serve.RunnerJob, lease *
 		s, err := c.computeOn(ctx, baseURL, lease, name)
 		if err == nil {
 			c.reg.leaseDone(name)
-			return s, name, nil
+			return s, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
+			return nil, ctx.Err()
 		}
 		expired := errors.Is(err, context.DeadlineExceeded)
 		if expired && c.met != nil {
@@ -435,11 +272,11 @@ func (c *Coordinator) dispatch(ctx context.Context, job serve.RunnerJob, lease *
 			slog.String("lease", lease.LeaseID),
 			slog.Bool("expired", expired),
 			slog.String("error", err.Error()))
-		if err := sleepCtx(ctx, job.Drain, backoff(c.opts.RetryBase, attempt)); err != nil {
-			return nil, "", err
+		if err := sleepCtx(ctx, drain, backoff(c.opts.RetryBase, attempt)); err != nil {
+			return nil, err
 		}
 	}
-	return nil, "", fmt.Errorf("cluster: shard %.12s… failed on %d workers: %w",
+	return nil, fmt.Errorf("cluster: shard %.12s… failed on %d workers: %w",
 		lease.ShardKey, c.opts.MaxAttempts, lastErr)
 }
 

@@ -33,13 +33,10 @@ func testServe(t *testing.T, cacheDir string) *serve.Server {
 
 // testCluster wires a coordinator onto srv and registers n in-process
 // workers over the real HTTP registration endpoint.  Returns the
-// coordinator's public URL.
-func testCluster(t *testing.T, srv *serve.Server, coordCache string, n int, opts Options) (*Coordinator, string) {
+// coordinator's public URL.  Cluster jobs cache shards in srv's cache
+// directory.
+func testCluster(t *testing.T, srv *serve.Server, n int, opts Options) (*Coordinator, string) {
 	t.Helper()
-	opts.CacheDir = coordCache
-	if opts.FanOut == 0 {
-		opts.FanOut = 4
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = srv.Metrics()
 	}
@@ -144,12 +141,8 @@ func TestClusterParity(t *testing.T) {
 			defer sts.Close()
 			want := runJob(t, sts.URL, spec)
 
-			// The daemon wires one -cache-dir into both the serve layer
-			// (which reports it) and the coordinator (which uses it);
-			// mirror that here so the sharding block matches.
-			coordCache := t.TempDir()
-			clustered := testServe(t, coordCache)
-			_, coordURL := testCluster(t, clustered, coordCache, 3, Options{})
+			clustered := testServe(t, t.TempDir())
+			_, coordURL := testCluster(t, clustered, 3, Options{})
 			got := runJob(t, coordURL, spec)
 
 			cw, cg := canonical(t, want), canonical(t, got)
@@ -168,11 +161,11 @@ func TestClusterWarmCache(t *testing.T) {
 	coordCache := t.TempDir()
 
 	first := testServe(t, coordCache)
-	_, firstURL := testCluster(t, first, coordCache, 2, Options{})
+	_, firstURL := testCluster(t, first, 2, Options{})
 	runJob(t, firstURL, spec)
 
 	second := testServe(t, coordCache)
-	_, secondURL := testCluster(t, second, coordCache, 0, Options{WorkerWait: time.Second})
+	_, secondURL := testCluster(t, second, 0, Options{WorkerWait: time.Second})
 	raw := runJob(t, secondURL, spec)
 
 	var doc struct {
@@ -195,7 +188,7 @@ func TestClusterWarmCache(t *testing.T) {
 // re-issued (counted as stolen) and the job must still complete.
 func TestClusterStealsFromDeadWorker(t *testing.T) {
 	srv := testServe(t, "")
-	coord, coordURL := testCluster(t, srv, t.TempDir(), 2, Options{
+	coord, coordURL := testCluster(t, srv, 2, Options{
 		RetryBase: time.Millisecond,
 	})
 	// A listener that is closed immediately: connection refused on use.

@@ -1,13 +1,14 @@
 // Package cluster distributes aegisd jobs over a fleet of worker
 // daemons.  One daemon runs as the coordinator: it accepts jobs through
-// the ordinary serve API, splits each job's trial range into the same
-// content-addressed shards a standalone run would compute
-// (engine.SplitTrials + engine.ShardKey), and leases each shard to a
-// registered worker over HTTP.  Workers compute leased shards with
+// the ordinary serve API and runs them through the same engine shard
+// loop as a standalone daemon, except that each shard the cache does
+// not hold is leased to a registered worker over HTTP
+// (engine.Engine.Remote).  Workers compute leased shards with
 // engine.ComputeShard and ship the aegis.shard/v1 document back; the
-// coordinator validates, caches and merges them with engine.Merge, so a
-// cluster run's aegis.job/v1 result is byte-identical to the standalone
-// one (the cluster-parity test pins this).
+// coordinator validates it at the leased address and the engine caches
+// and merges it like a local shard, so a cluster run's aegis.job/v1
+// result is byte-identical to the standalone one (the cluster-parity
+// test pins this).
 //
 // Fault model: a worker is leased one shard at a time and may die, hang
 // or disconnect at any point.  Leases carry a deadline; a lease whose

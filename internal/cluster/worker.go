@@ -57,7 +57,7 @@ type Worker struct {
 // NewWorker builds a worker and registers its metric families.
 func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Logger == nil {
-		opts.Logger = slog.New(discardHandler{})
+		opts.Logger = slog.New(obs.DiscardHandler{})
 	}
 	w := &Worker{
 		opts: opts,

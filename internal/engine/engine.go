@@ -15,6 +15,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -70,6 +71,16 @@ type Engine struct {
 	// are emitted from shard workers, so the handler must be safe for
 	// concurrent use (slog's built-ins are).
 	Logger *slog.Logger
+	// Remote, when non-nil, produces each shard the cache does not hold
+	// in place of the local simulation; a coordinator daemon binds it to
+	// a worker lease.  The returned shard must validate at the task's
+	// address (ValidateShard).  Splitting, cache lookup and persist,
+	// progress and cache counters, drain and context stops, merge and
+	// the observability fold stay in this engine's one shard loop, so a
+	// remotely produced result is byte-identical to a local one.  Called
+	// from shard workers with cfg.Ctx (or context.Background when nil),
+	// so it must be safe for concurrent use.
+	Remote func(ctx context.Context, task ShardTask) (*Shard, error)
 
 	// afterShard, when set, runs after each shard completes (computed
 	// or loaded).  Calls are serialized.  Returning an error aborts
@@ -82,7 +93,7 @@ type Engine struct {
 
 // enabled reports whether the engine changes execution at all.
 func (e *Engine) enabled() bool {
-	return e != nil && (e.Shards > 1 || e.CacheDir != "")
+	return e != nil && (e.Shards > 1 || e.CacheDir != "" || e.Remote != nil)
 }
 
 // shardCount returns the effective shard count, clamped to [1, trials].
@@ -169,9 +180,7 @@ func (e *Engine) Blocks(f scheme.Factory, cfg sim.Config) ([]sim.BlockResult, er
 		}
 		return res, nil
 	}
-	merged, err := e.run(f, cfg, KindBlocks, CurveParams{}, func(shardCfg sim.Config, s *Shard) {
-		s.Blocks = sim.Blocks(f, shardCfg)
-	})
+	merged, err := e.run(f, cfg, KindBlocks, CurveParams{})
 	if err != nil {
 		return nil, err
 	}
@@ -187,9 +196,7 @@ func (e *Engine) Pages(f scheme.Factory, cfg sim.Config) ([]sim.PageResult, erro
 		}
 		return res, nil
 	}
-	merged, err := e.run(f, cfg, KindPages, CurveParams{}, func(shardCfg sim.Config, s *Shard) {
-		s.Pages = sim.Pages(f, shardCfg)
-	})
+	merged, err := e.run(f, cfg, KindPages, CurveParams{})
 	if err != nil {
 		return nil, err
 	}
@@ -214,9 +221,7 @@ func (e *Engine) FailureCurveBias(f scheme.Factory, cfg sim.Config, maxFaults, w
 		return res, nil
 	}
 	cp := CurveParams{MaxFaults: maxFaults, WritesPerStep: writesPerStep, Bias: bias}
-	merged, err := e.run(f, cfg, KindCurve, cp, func(shardCfg sim.Config, s *Shard) {
-		s.Dead = sim.FailureCounts(f, shardCfg, maxFaults, writesPerStep, bias)
-	})
+	merged, err := e.run(f, cfg, KindCurve, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +233,7 @@ func (e *Engine) FailureCurveBias(f scheme.Factory, cfg sim.Config, maxFaults, w
 }
 
 // computeFunc builds the per-shard simulation closure for one kind of
-// run — the same closures Blocks/Pages/FailureCurveBias install.
+// run.
 func computeFunc(f scheme.Factory, kind string, cp CurveParams) (func(sim.Config, *Shard), error) {
 	switch kind {
 	case KindBlocks:
@@ -241,6 +246,31 @@ func computeFunc(f scheme.Factory, kind string, cp CurveParams) (func(sim.Config
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown shard kind %q", kind)
+}
+
+// ShardTask addresses one shard of a run: its content key, the config
+// hash, scheme display name, kind and failure-curve probe it is keyed
+// under, and its global trial range [Lo, Hi) — everything Remote needs
+// to have the shard produced elsewhere.
+type ShardTask struct {
+	Key        string
+	ConfigHash string
+	Scheme     string
+	Kind       string
+	Curve      CurveParams
+	Lo, Hi     int
+}
+
+// newTask returns the run-wide part of a shard address; at completes it.
+func newTask(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams) ShardTask {
+	return ShardTask{ConfigHash: ConfigHash(cfg, kind, cp), Scheme: f.Name(), Kind: kind, Curve: cp}
+}
+
+// at addresses the shard covering global trials [lo, hi).
+func (t ShardTask) at(lo, hi int) ShardTask {
+	t.Lo, t.Hi = lo, hi
+	t.Key = ShardKey(t.ConfigHash, t.Scheme, lo, hi, obs.GitSHA())
+	return t
 }
 
 // ComputeShard loads or computes the single shard covering global
@@ -260,15 +290,15 @@ func (e *Engine) ComputeShard(f scheme.Factory, cfg sim.Config, kind string, cp 
 	if err != nil {
 		return nil, err
 	}
-	hash := ConfigHash(cfg, kind, cp)
-	return e.oneShard(cfg, compute, hash, f.Name(), kind, obs.GitSHA(), lo, hi)
+	return e.oneShard(cfg, compute, newTask(f, cfg, kind, cp).at(lo, hi))
 }
 
-// run is the shared shard loop: derive keys, load what the cache has,
-// compute the rest (each computed shard simulates trial range
-// [lo, hi) via Trials/TrialOffset against a private obs registry so its
-// counter and histogram deltas can be persisted), persist, merge, and
-// fold the merged observability deltas back into the caller's registry.
+// run is the one shard loop, for local and remote runs alike: derive
+// keys, load what the cache has, produce the rest (locally, each shard
+// simulating trial range [lo, hi) via Trials/TrialOffset against a
+// private obs registry so its counter and histogram deltas can be
+// persisted; or through Remote), persist, merge, and fold the merged
+// observability deltas back into the caller's registry.
 //
 // Shards are scheduled over a bounded worker pool (workerCount): shard
 // s is issued in order but completes whenever its worker finishes.
@@ -279,10 +309,12 @@ func (e *Engine) ComputeShard(f scheme.Factory, cfg sim.Config, kind string, cp 
 // Drain channel stops issue with ErrDraining after in-flight shards
 // persist; a cancelled cfg.Ctx aborts in-flight shards mid-trial and
 // discards them unpersisted.
-func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams, compute func(sim.Config, *Shard)) (*Shard, error) {
-	schemeName := f.Name()
-	hash := ConfigHash(cfg, kind, cp)
-	code := obs.GitSHA()
+func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurveParams) (*Shard, error) {
+	compute, err := computeFunc(f, kind, cp)
+	if err != nil {
+		return nil, err
+	}
+	base := newTask(f, cfg, kind, cp)
 
 	ranges := SplitTrials(cfg.Trials, e.shardCount(cfg.Trials))
 	shards := make([]*Shard, len(ranges))
@@ -360,7 +392,7 @@ func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurvePara
 				// caller offset the run.
 				lo := cfg.TrialOffset + ranges[i][0]
 				hi := cfg.TrialOffset + ranges[i][1]
-				s, err := e.oneShard(cfg, compute, hash, schemeName, kind, code, lo, hi)
+				s, err := e.oneShard(cfg, compute, base.at(lo, hi))
 				if err != nil {
 					fail(err)
 					return
@@ -372,7 +404,7 @@ func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurvePara
 	wg.Wait()
 
 	failMu.Lock()
-	err := firstErr
+	err = firstErr
 	failMu.Unlock()
 	if err != nil {
 		return nil, err
@@ -383,25 +415,21 @@ func (e *Engine) run(f scheme.Factory, cfg sim.Config, kind string, cp CurvePara
 		return nil, err
 	}
 	if cfg.Obs != nil {
-		// Computed shards drained into private registries, so the
-		// merged deltas are the run's entire contribution.
-		cfg.Obs.AddTotals(schemeName, merged.Counters)
-		cfg.Obs.AddHist(schemeName, merged.Histograms)
+		// Shards carry private-registry deltas, so the merged deltas
+		// are the run's entire contribution.
+		cfg.Obs.AddTotals(base.Scheme, merged.Counters)
+		cfg.Obs.AddHist(base.Scheme, merged.Histograms)
 	}
 	return merged, nil
 }
 
-// oneShard loads or computes the shard covering global trials [lo, hi):
-// the cache is consulted first (hit: credit progress and return; absent
-// or corrupt: recompute; incompatible: refuse), then the shard simulates
-// against a private obs registry, persists, and runs the completion
-// hook.  A context cancellation during compute discards the partial
-// shard without persisting it.
-func (e *Engine) oneShard(cfg sim.Config, compute func(sim.Config, *Shard), hash, schemeName, kind, code string, lo, hi int) (*Shard, error) {
-	key := ShardKey(hash, schemeName, lo, hi, code)
-
+// oneShard loads or produces the shard t addresses: the cache is
+// consulted first (hit: credit progress and return; absent or corrupt:
+// produce it; incompatible: refuse), then the shard is obtained from
+// Remote or simulated locally, persisted, and the completion hook runs.
+func (e *Engine) oneShard(cfg sim.Config, compute func(sim.Config, *Shard), t ShardTask) (*Shard, error) {
 	if e.Resume && e.CacheDir != "" {
-		s, err := LoadShard(shardPath(e.CacheDir, key), key, hash, schemeName, kind, lo, hi)
+		s, err := LoadShard(shardPath(e.CacheDir, t.Key), t.Key, t.ConfigHash, t.Scheme, t.Kind, t.Lo, t.Hi)
 		switch {
 		case err == nil:
 			// Cache hit: credit the shard's trials to the live
@@ -427,32 +455,31 @@ func (e *Engine) oneShard(cfg sim.Config, compute func(sim.Config, *Shard), hash
 	if cfg.Obs != nil {
 		cfg.Obs.Shards().CacheMisses.Inc()
 	}
-	priv := obs.NewRegistry()
-	shardCfg := cfg
-	shardCfg.Trials = hi - lo
-	shardCfg.TrialOffset = lo
-	shardCfg.Obs = priv
-	s := &Shard{
-		Schema:      ShardSchema,
-		Key:         key,
-		ConfigHash:  hash,
-		Scheme:      schemeName,
-		Kind:        kind,
-		TrialLo:     lo,
-		TrialHi:     hi,
-		CodeVersion: code,
-		CreatedAt:   time.Now().UTC(),
-	}
+	var (
+		s   *Shard
+		err error
+	)
+	// "shard computed" records time local simulation only; a shard
+	// produced through Remote is logged as leased.
+	msg := "shard computed"
 	start := time.Now()
-	compute(shardCfg, s)
-	elapsed := time.Since(start)
-	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-		// The hard stop fired mid-shard: the payload is partial, so it
-		// must never be persisted or merged.
-		return nil, fmt.Errorf("engine: %s aborted: %w", shardDesc(s), cfg.Ctx.Err())
+	if e.Remote != nil {
+		msg = "shard leased"
+		ctx := cfg.Ctx
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		if s, err = e.Remote(ctx, t); err != nil {
+			return nil, err
+		}
+		// The remote side ran without this run's progress; credit the
+		// shard's trials here so the totals match a local run.
+		cfg.Progress.AddTotal(s.Trials())
+		cfg.Progress.Done(s.Trials())
+	} else if s, err = computeLocal(cfg, compute, t); err != nil {
+		return nil, err
 	}
-	s.Counters = priv.Snapshot()[schemeName]
-	s.Histograms = priv.HistSnapshot()[schemeName]
+	elapsed := time.Since(start)
 	if e.CacheDir != "" {
 		if _, err := WriteShard(e.CacheDir, s); err != nil {
 			return nil, fmt.Errorf("engine: persist %s: %w", shardDesc(s), err)
@@ -461,8 +488,39 @@ func (e *Engine) oneShard(cfg sim.Config, compute func(sim.Config, *Shard), hash
 			cfg.Obs.Shards().Persisted.Inc()
 		}
 	}
-	e.logShard("shard computed", s, elapsed)
+	e.logShard(msg, s, elapsed)
 	return s, e.shardDone(s)
+}
+
+// computeLocal simulates t's trial range against a private obs
+// registry, so the shard carries its own counter and histogram deltas.
+// A context cancellation during compute discards the partial shard.
+func computeLocal(cfg sim.Config, compute func(sim.Config, *Shard), t ShardTask) (*Shard, error) {
+	priv := obs.NewRegistry()
+	shardCfg := cfg
+	shardCfg.Trials = t.Hi - t.Lo
+	shardCfg.TrialOffset = t.Lo
+	shardCfg.Obs = priv
+	s := &Shard{
+		Schema:      ShardSchema,
+		Key:         t.Key,
+		ConfigHash:  t.ConfigHash,
+		Scheme:      t.Scheme,
+		Kind:        t.Kind,
+		TrialLo:     t.Lo,
+		TrialHi:     t.Hi,
+		CodeVersion: obs.GitSHA(),
+		CreatedAt:   time.Now().UTC(),
+	}
+	compute(shardCfg, s)
+	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+		// The hard stop fired mid-shard: the payload is partial, so it
+		// must never be persisted or merged.
+		return nil, fmt.Errorf("engine: %s aborted: %w", shardDesc(s), cfg.Ctx.Err())
+	}
+	s.Counters = priv.Snapshot()[t.Scheme]
+	s.Histograms = priv.HistSnapshot()[t.Scheme]
+	return s, nil
 }
 
 // logShard emits one structured record for a finished shard.  The key

@@ -5,29 +5,20 @@ import (
 	"log/slog"
 
 	"aegis/internal/engine"
-	"aegis/internal/scheme"
-	"aegis/internal/sim"
 )
 
-// Runner is an alternative execution strategy for a job's simulation:
-// given the normalized request and its derived configuration, produce
-// the merged aegis.shard/v1 document covering the job's full trial
-// range.  The daemon's default strategy is the local shard engine
-// (runJob); a coordinator daemon installs internal/cluster's
-// Coordinator here to fan the shards out over a worker fleet instead.
-//
-// The contract that keeps cluster runs byte-identical to standalone
-// ones: the returned shard must be exactly what engine.Merge over the
-// run's content-addressed shards produces, the per-scheme counter and
-// histogram deltas must be folded into Config.Obs under the factory's
-// name (as engine.run does), and cache traffic must be counted on
-// Config.Obs.Shards() — runJob builds the aegis.job/v1 result from
-// those, through the same code path for both strategies.
+// Runner leases shards to a remote fleet: a coordinator daemon installs
+// internal/cluster's Coordinator here, and each job's engine then
+// obtains every shard its cache does not hold through LeaseShard
+// (engine.Engine.Remote) instead of simulating it locally.  The
+// returned shard must validate at the task's content address
+// (engine.ValidateShard).
 type Runner interface {
-	RunJob(ctx context.Context, job RunnerJob) (*engine.Shard, error)
+	LeaseShard(ctx context.Context, job RunnerJob, task engine.ShardTask) (*engine.Shard, error)
 }
 
-// RunnerJob is everything a Runner needs to execute one job.
+// RunnerJob is what a lease needs to know about the job its shard
+// belongs to.
 type RunnerJob struct {
 	// JobID is the job's public ID (j%06d-<spec12>); leases carry it
 	// for correlation.
@@ -36,23 +27,8 @@ type RunnerJob struct {
 	// cluster wire, since a worker can reconstruct the factory and
 	// configuration from it (JobRequest.Normalize, SimConfig).
 	Request JobRequest
-	// Factory is the resolved scheme factory (Request.Normalize's
-	// result); Factory.Name() keys the counters.
-	Factory scheme.Factory
-	// Config is the run's simulation configuration with the job's
-	// observability sinks wired: Obs is the job-private registry,
-	// Progress the live progress, Ctx the hard-stop context.
-	Config sim.Config
-	// Kind is the simulation kind (KindBlocks/KindPages/KindCurve).
-	Kind string
-	// Shards is the number of content-addressed slices to split the
-	// trial range into.
-	Shards int
-	// Curve carries the failure-curve probe parameters (zero unless
-	// Kind is KindCurve).
-	Curve engine.CurveParams
-	// Drain soft-stops the run when closed: finish what is in flight,
-	// issue nothing new, return engine.ErrDraining.
+	// Drain soft-stops lease retries when closed: a lease waiting for a
+	// worker or backing off returns engine.ErrDraining.
 	Drain <-chan struct{}
 	// Logger carries the job's correlation chain (request ID, job ID,
 	// spec hash); shard-level records should add the shard key.

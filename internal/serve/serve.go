@@ -38,7 +38,6 @@ import (
 
 	"aegis/internal/engine"
 	"aegis/internal/obs"
-	"aegis/internal/sim"
 )
 
 // Options configures a Server.  The zero value is usable: every field
@@ -64,11 +63,11 @@ type Options struct {
 	// the oldest terminal jobs evicted if the live state alone still
 	// exceeds the bound.  0 = unbounded (the pre-bound behaviour).
 	JournalMaxBytes int64
-	// Runner, when non-nil, replaces the local shard engine as the
-	// job execution strategy — the cluster coordinator installs itself
-	// here (internal/cluster).  The aegis.job/v1 result is built from
-	// the Runner's merged shard through the same code path as local
-	// runs, which is what the cluster-parity test pins.
+	// Runner, when non-nil, leases every shard a job's cache does not
+	// hold instead of simulating it locally — the cluster coordinator
+	// installs itself here (internal/cluster).  The job still runs
+	// through the local engine's one shard loop (engine.Engine.Remote),
+	// which is what the cluster-parity test pins.
 	Runner Runner
 	// Shards is the per-job shard count (default 8).  Requests may
 	// override it per job.
@@ -127,7 +126,7 @@ func (o Options) withDefaults() Options {
 		o.TenantMaxInFlight = o.QueueDepth + o.Workers
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(noopHandler{})
+		o.Logger = slog.New(obs.DiscardHandler{})
 	}
 	if o.StreamInterval <= 0 {
 		o.StreamInterval = time.Second
@@ -140,15 +139,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// noopHandler drops every record; it stands in for a nil Options.Logger
-// so the daemon never nil-checks its logger.
-type noopHandler struct{}
-
-func (noopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (noopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (noopHandler) WithAttrs([]slog.Attr) slog.Handler        { return noopHandler{} }
-func (noopHandler) WithGroup(string) slog.Handler             { return noopHandler{} }
 
 // Server is the aegisd job service.  Create with New, mount Handler on
 // an http.Server, call Start to launch the worker pool, and Drain (or
@@ -365,7 +355,7 @@ func (s *Server) Metrics() *obs.Metrics { return s.metrics.m }
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SetRunner installs the job execution strategy after construction —
+// SetRunner installs the shard lease strategy after construction —
 // the cluster coordinator needs the server's metric registry (Metrics)
 // to exist before it can be built, so cmd/aegisd creates the server
 // first, the coordinator second, and wires it here.  Call before Start;
@@ -684,6 +674,12 @@ func (s *Server) runJob(job *Job) {
 		Drain:    s.drainCh,
 		Logger:   logger,
 	}
+	if r := s.opts.Runner; r != nil {
+		rj := RunnerJob{JobID: job.id, Request: req, Drain: s.drainCh, Logger: logger}
+		eng.Remote = func(ctx context.Context, t engine.ShardTask) (*engine.Shard, error) {
+			return r.LeaseShard(ctx, rj, t)
+		}
+	}
 	reg := obs.NewRegistry()
 	cfg := req.config()
 	cfg.Workers = 1 // parallelism lives at the shard level in the daemon
@@ -707,19 +703,15 @@ func (s *Server) runJob(job *Job) {
 		Kind:    req.Kind,
 	}
 	var err error
-	if s.opts.Runner != nil {
-		err = s.runViaRunner(ctx, job, cfg, shards, result)
-	} else {
-		switch req.Kind {
-		case KindBlocks:
-			result.Blocks, err = eng.Blocks(job.factory, cfg)
-		case KindPages:
-			result.Pages, err = eng.Pages(job.factory, cfg)
-		case KindCurve:
-			result.Curve, err = eng.FailureCurveBias(job.factory, cfg, req.MaxFaults, req.WritesPerStep, *req.Bias)
-		default:
-			err = fmt.Errorf("serve: unreachable kind %q", req.Kind) // normalize rejects it
-		}
+	switch req.Kind {
+	case KindBlocks:
+		result.Blocks, err = eng.Blocks(job.factory, cfg)
+	case KindPages:
+		result.Pages, err = eng.Pages(job.factory, cfg)
+	case KindCurve:
+		result.Curve, err = eng.FailureCurveBias(job.factory, cfg, req.MaxFaults, req.WritesPerStep, *req.Bias)
+	default:
+		err = fmt.Errorf("serve: unreachable kind %q", req.Kind) // normalize rejects it
 	}
 	// Fold the job's private registry into the service-lifetime one so
 	// /metrics shows cumulative per-scheme and shard-cache totals across
@@ -772,52 +764,6 @@ func (s *Server) runJob(job *Job) {
 		slog.Duration("elapsed", time.Since(start)),
 		slog.Int64("cache_hits", st.CacheHits),
 		slog.Int64("cache_misses", st.CacheMisses))
-}
-
-// runViaRunner executes one job through the pluggable Runner (the
-// cluster coordinator) and translates its merged shard into the result
-// payload, mirroring field for field what the local engine path
-// produces — the cluster-parity test compares the two documents byte
-// for byte.
-func (s *Server) runViaRunner(ctx context.Context, job *Job, cfg sim.Config, shards int, result *JobResult) error {
-	req := job.request
-	cp := engine.CurveParams{}
-	if req.Kind == KindCurve {
-		cp = engine.CurveParams{MaxFaults: req.MaxFaults, WritesPerStep: req.WritesPerStep, Bias: *req.Bias}
-	}
-	merged, err := s.opts.Runner.RunJob(ctx, RunnerJob{
-		JobID:   job.id,
-		Request: req,
-		Factory: job.factory,
-		Config:  cfg,
-		Kind:    req.Kind,
-		Shards:  shards,
-		Curve:   cp,
-		Drain:   s.drainCh,
-		Logger:  s.jobLogger(job),
-	})
-	if err != nil {
-		return err
-	}
-	// Fold the merged deltas into the job's registry under the factory's
-	// name, exactly as engine.run does after a local merge.
-	if cfg.Obs != nil {
-		cfg.Obs.AddTotals(job.factory.Name(), merged.Counters)
-		cfg.Obs.AddHist(job.factory.Name(), merged.Histograms)
-	}
-	switch req.Kind {
-	case KindBlocks:
-		result.Blocks = merged.Blocks
-	case KindPages:
-		result.Pages = merged.Pages
-	case KindCurve:
-		curve := make([]float64, req.MaxFaults+1)
-		for nf := 1; nf <= req.MaxFaults && nf < len(merged.Dead); nf++ {
-			curve[nf] = float64(merged.Dead[nf]) / float64(cfg.Trials)
-		}
-		result.Curve = curve
-	}
-	return nil
 }
 
 // jobLogger returns the daemon logger scoped to one job: every record
