@@ -10,11 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"aegis/internal/core"
-	"aegis/internal/ecp"
 	"aegis/internal/experiments"
-	"aegis/internal/scheme"
-	"aegis/internal/sim"
 	"aegis/internal/xrand"
 )
 
@@ -45,41 +41,6 @@ func benchExperiment(b *testing.B, id string) {
 		}
 	}
 }
-
-// benchmarkFig5Lanes runs the Figure 5 page study over the
-// sliced-capable subset of the 512-bit roster at 64 page trials — the
-// bit-sliced mode's home turf (64 trials = 64 lanes in one machine
-// word).  The Sliced/Scalar pair measures the same work at lanes=auto
-// and lanes=1; the differential tests pin the outputs byte-identical,
-// so the pair differs only in wall-clock and allocations.
-func benchmarkFig5Lanes(b *testing.B, lanes int) {
-	b.Helper()
-	roster := []scheme.Factory{
-		scheme.NoneFactory{Bits: 512},
-		ecp.MustFactory(512, 6),
-		core.MustFactory(512, 23),
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for si, f := range roster {
-			cfg := sim.Config{
-				BlockBits: 512,
-				PageBytes: 4096,
-				MeanLife:  300,
-				CoV:       0.25,
-				Trials:    64,
-				Seed:      int64(i*len(roster) + si + 1),
-				Lanes:     lanes,
-			}
-			if rs := sim.Pages(f, cfg); len(rs) != cfg.Trials {
-				b.Fatalf("%s: %d results, want %d", f.Name(), len(rs), cfg.Trials)
-			}
-		}
-	}
-}
-
-func BenchmarkFig5Sliced(b *testing.B) { benchmarkFig5Lanes(b, 0) }
-func BenchmarkFig5Scalar(b *testing.B) { benchmarkFig5Lanes(b, 1) }
 
 func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
 func BenchmarkFig2(b *testing.B)   { benchExperiment(b, "fig2") }

@@ -102,7 +102,6 @@ func run(args []string, out *os.File) error {
 		preset     = fs.String("preset", "default", "effort preset: quick, default, full")
 		seed       = fs.Int64("seed", 0, "override the preset's RNG seed (0 = keep preset seed)")
 		workers    = fs.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-		lanes      = fs.Int("lanes", 0, "bit-sliced trial lanes per machine word: 0 = auto, 1 = scalar, 2-64 explicit (results are identical at any lane width)")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
 		jsonDir    = fs.String("json", "", "write a machine-readable run manifest into this directory")
 		format     = fs.String("format", "text", "table output format: text or md (markdown)")
@@ -150,10 +149,6 @@ func run(args []string, out *os.File) error {
 		p.Seed = *seed
 	}
 	p.Workers = *workers
-	if *lanes < 0 || *lanes > 64 {
-		return fmt.Errorf("-lanes must be between 0 and 64 (got %d)", *lanes)
-	}
-	p.Lanes = *lanes
 	reg := obs.NewRegistry()
 	p.Obs = reg
 	prog := obs.NewProgress()
@@ -319,13 +314,12 @@ func run(args []string, out *os.File) error {
 				Dropped:     events.Dropped(),
 			}
 		}
-		if *shards > 1 || *cacheDir != "" || *lanes != 0 {
+		if *shards > 1 || *cacheDir != "" {
 			st := reg.Shards().Totals()
 			manifest.Sharding = &obs.ShardingInfo{
 				ShardSchema: engine.ShardSchema,
 				Shards:      *shards,
 				Workers:     shardWorkers,
-				Lanes:       *lanes,
 				CacheDir:    *cacheDir,
 				Resume:      *resume,
 				CacheHits:   st.CacheHits,

@@ -8,6 +8,7 @@ import (
 
 	"aegis/internal/bitvec"
 	"aegis/internal/core"
+	"aegis/internal/dist"
 	"aegis/internal/failcache"
 	"aegis/internal/pcm"
 	"aegis/internal/scheme"
@@ -378,5 +379,40 @@ func BenchmarkRWWrite8Faults(b *testing.B) {
 		if err := s.Write(blk, data[i%len(data)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRWRefusedDeathSkipsRawWrite pins why Aegis-rw's extra writes per
+// request can be negative: the Write that kills a block is refused from
+// faults the cache already knows, so it counts a request but issues no
+// physical write.  Under the paper's request-scoped wear no cell dies
+// mid-request, so every earlier Write took exactly one raw write and
+// the block ends at RawWrites − Requests = −1.
+func TestRWRefusedDeathSkipsRawWrite(t *testing.T) {
+	rng := xrand.New(3)
+	blk := pcm.NewBlock(512, dist.Normal{MeanLife: 200, CoV: 0.25}, rng)
+	s := MustRWFactory(512, 61, failcache.Perfect{}).New().(*RW)
+	data := bitvec.New(512)
+	for w := 0; ; w++ {
+		if w > 100000 {
+			t.Fatal("block never died")
+		}
+		bitvec.RandomInto(data, rng)
+		before := s.OpStats()
+		blk.BeginRequest()
+		err := s.Write(blk, data)
+		blk.EndRequest()
+		if err == nil {
+			continue
+		}
+		after := s.OpStats()
+		if after.Requests != before.Requests+1 || after.RawWrites != before.RawWrites {
+			t.Fatalf("refused write: requests %d→%d, raw writes %d→%d; want +1 and unchanged",
+				before.Requests, after.Requests, before.RawWrites, after.RawWrites)
+		}
+		if extra := after.RawWrites - after.Requests; extra != -1 {
+			t.Fatalf("RawWrites − Requests = %d at death, want -1", extra)
+		}
+		return
 	}
 }

@@ -3,9 +3,8 @@ package bitvec
 // Transpose64 transposes a 64×64 bit matrix in place: after the call,
 // bit r of a[c] equals what bit c of a[r] was before.  Rows enter as
 // per-lane data words (row l = trial-lane l) and leave as per-position
-// lane words (row j = bit j of every lane), which is the conversion the
-// bit-sliced Monte Carlo engine performs between the scalar per-trial
-// RNG streams and the transposed block state (DESIGN.md §13).
+// lane words (row j = bit j of every lane): the layout of
+// pcm.LaneBlock's transposed state.
 //
 // The routine is the recursive block swap of Hacker's Delight §7-3,
 // phrased for this repository's LSB-first bit numbering (bit b of a row
@@ -17,6 +16,10 @@ package bitvec
 // single-bit moves of the naive transpose; the steps are unrolled so
 // every shift is constant and every index is provably in range (the &63
 // masks cost one AND but keep the tight loops free of bounds checks).
+//
+// Deprecated: its only remaining user is pcm.LaneBlock's test, which
+// builds its reference images with it; it goes together with
+// pcm.LaneBlock (DESIGN.md §13).
 func Transpose64(a *[64]uint64) {
 	for k := 0; k < 32; k++ {
 		t := ((a[k] >> 32) ^ a[k+32]) & 0x00000000FFFFFFFF

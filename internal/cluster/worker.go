@@ -23,9 +23,6 @@ type WorkerOptions struct {
 	// CacheDir, when set, is the worker's local shard cache: a re-leased
 	// shard it already computed is served from disk.
 	CacheDir string
-	// Lanes overrides the bit-sliced lane width like the daemon flag of
-	// the same name (0 = the request's value).
-	Lanes int
 	// Metrics receives the worker's instrument families (nil =
 	// unregistered).
 	Metrics *obs.Metrics
@@ -142,9 +139,6 @@ func (w *Worker) compute(ctx context.Context, lease *Lease) (*LeaseResult, int, 
 	cfg := spec.SimConfig()
 	cfg.Workers = 1 // parallelism lives at the lease level, as in the daemon
 	cfg.Ctx = ctx
-	if w.opts.Lanes > 0 {
-		cfg.Lanes = w.opts.Lanes
-	}
 	// Re-derive the shard's address with THIS binary's git SHA.  A
 	// coordinator built from different source derives a different key;
 	// refusing here (409) is what keeps a skewed fleet from computing

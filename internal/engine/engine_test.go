@@ -89,6 +89,7 @@ func TestShardKeyStableAndDistinct(t *testing.T) {
 	cfg3.Trials = 99
 	cfg3.TrialOffset = 7
 	cfg3.Workers = 16
+	//lint:ignore SA1019 an ignored field must not move the hash either
 	cfg3.Lanes = 64 // bit-sliced width is execution shape: cached scalar shards serve sliced runs
 	cfg3.Ctx = context.Background()
 	cfg3.Obs = obs.NewRegistry()

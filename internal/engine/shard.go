@@ -74,11 +74,11 @@ func (s *Shard) Trials() int { return s.TrialHi - s.TrialLo }
 
 // keyConfig is the canonicalized, result-affecting subset of sim.Config
 // (plus the curve-probe parameters): exactly the fields that change
-// simulation outcomes.  Trials, TrialOffset, Workers, Lanes, Ctx and
-// the observability sinks are deliberately absent — the trial range is
-// keyed separately, and worker count, bit-sliced lane width,
-// cancellation plumbing or telemetry must never alter results (the lane
-// invariant is pinned by the sliced differential tests).
+// simulation outcomes.  Trials, TrialOffset, Workers, the ignored
+// Lanes, Ctx and the observability sinks are deliberately absent — the
+// trial range is keyed separately, and worker count, cancellation
+// plumbing or telemetry must never alter results (the worker invariant
+// is pinned by TestGoldenWorkersInvariant).
 type keyConfig struct {
 	BlockBits int     `json:"block_bits"`
 	PageBytes int     `json:"page_bytes"`

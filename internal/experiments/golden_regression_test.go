@@ -163,12 +163,10 @@ func checkTol(t *testing.T, scheme, metric string, got, want float64) {
 }
 
 // goldenRun computes the golden metric table through a given engine —
-// the same pipeline TestGoldenRegression pins — at a given bit-sliced
-// lane width (0 = auto, 1 = scalar).
-func goldenRun(t *testing.T, eng *engine.Engine, lanes int) map[string]goldenMetrics {
+// the same pipeline TestGoldenRegression pins.
+func goldenRun(t *testing.T, eng *engine.Engine) map[string]goldenMetrics {
 	t.Helper()
 	cfg := goldenConfig()
-	cfg.Lanes = lanes
 	out := map[string]goldenMetrics{}
 	for _, f := range goldenRoster() {
 		pcfg := cfg
@@ -207,27 +205,11 @@ func goldenRun(t *testing.T, eng *engine.Engine, lanes int) map[string]goldenMet
 // merge order, so not even the float summation order may differ.  No
 // tolerance here, unlike the golden-file comparison.
 func TestGoldenWorkersInvariant(t *testing.T) {
-	serial := goldenRun(t, &engine.Engine{Shards: 3, Workers: 1}, 0)
-	parallel := goldenRun(t, &engine.Engine{Shards: 3, Workers: 8}, 0)
+	serial := goldenRun(t, &engine.Engine{Shards: 3, Workers: 1})
+	parallel := goldenRun(t, &engine.Engine{Shards: 3, Workers: 8})
 	for name, s := range serial {
 		if p := parallel[name]; p != s {
 			t.Errorf("%s: workers=8 diverged from workers=1\nserial:   %+v\nparallel: %+v", name, s, p)
-		}
-	}
-}
-
-// TestGoldenLanesInvariant pins the bit-sliced execution mode against
-// the golden pipeline: the scalar path and the 64-lane sliced path must
-// agree EXACTLY through the sharded engine — same trials, same
-// per-trial RNG, same merge order, including the shard tails where the
-// lane-group clamp engages.  Schemes without a sliced implementation
-// exercise the automatic scalar fallback.
-func TestGoldenLanesInvariant(t *testing.T) {
-	scalar := goldenRun(t, &engine.Engine{Shards: 3, Workers: 4}, 1)
-	sliced := goldenRun(t, &engine.Engine{Shards: 3, Workers: 4}, 64)
-	for name, s := range scalar {
-		if p := sliced[name]; p != s {
-			t.Errorf("%s: lanes=64 diverged from scalar\nscalar: %+v\nsliced: %+v", name, s, p)
 		}
 	}
 }

@@ -41,10 +41,6 @@ type Params struct {
 	Seed int64
 	// Workers caps simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Lanes selects the bit-sliced trial width (sim.Config.Lanes):
-	// 0 = auto, 1 = scalar, 2..64 = explicit lane count.  Results are
-	// identical at every setting, by construction (see DESIGN.md §13).
-	Lanes int
 	// Engine routes every simulation through the shard engine
 	// (internal/engine): splitting, caching and resuming.  nil (or the
 	// zero Engine) runs simulations directly — results are identical
@@ -77,7 +73,6 @@ func (p Params) simConfig(blockBits, trials int) sim.Config {
 		CoV:       p.CoV,
 		Trials:    trials,
 		Workers:   p.Workers,
-		Lanes:     p.Lanes,
 		Obs:       p.Obs,
 		Trace:     p.Trace,
 		Progress:  p.Progress,

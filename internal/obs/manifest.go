@@ -83,8 +83,8 @@ type ShardingInfo struct {
 	// Workers is the number of shards computed concurrently (the
 	// effective engine worker count; scheduling never affects results).
 	Workers int `json:"workers,omitempty"`
-	// Lanes is the bit-sliced trial width the run requested (0 = auto,
-	// 1 = scalar; lane width never affects results).
+	// Lanes echoes an aegis.job/v1 request's ignored "lanes" field
+	// (DESIGN.md §11); no run uses it.
 	Lanes int `json:"lanes,omitempty"`
 	// CacheDir is the shard cache directory ("" = persistence off).
 	CacheDir string `json:"cache_dir,omitempty"`

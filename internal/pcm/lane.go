@@ -21,12 +21,16 @@ import (
 // trial index: lifetimes are sampled per lane from that trial's RNG in
 // the same ascending-cell order as NewBlock, wear is charged by the same
 // request-scoped rule, and cells die on exactly the same write request
-// (see the wear-guard invariant below).  The sliced simulation paths in
-// internal/sim are pinned byte-identical to the scalar ones by
-// differential tests.
+// (see the wear-guard invariant below); lane_test.go pins this cell for
+// cell against 64 scalar blocks.
 //
-// LaneBlock only models request-scoped wear (BeginRequest/EndRequest);
-// the per-pulse ablation (Config.PulseWear) stays on the scalar path.
+// LaneBlock only models request-scoped wear (BeginRequest/EndRequest).
+//
+// Deprecated: nothing in the simulator uses LaneBlock since the
+// bit-sliced execution mode was removed for running slower than the
+// scalar trial loop (DESIGN.md §13).  It remains only because the
+// benchmark module's pcm.lane_write_raw_ns probe compiles against it;
+// it goes together with that probe.
 type LaneBlock struct {
 	n     int
 	lanes int

@@ -17,6 +17,7 @@ func transposeLaneData(dataT []uint64, lane [][]uint64, n int) {
 		for l := range lane {
 			tile[l] = lane[l][c]
 		}
+		//lint:ignore SA1019 the reference transpose goes together with LaneBlock
 		bitvec.Transpose64(&tile)
 		base := c * 64
 		m := n - base

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"aegis/internal/bitvec"
+	"aegis/internal/dist"
 	"aegis/internal/failcache"
 	"aegis/internal/pcm"
 	"aegis/internal/scheme"
@@ -294,5 +295,40 @@ func TestDiscoveryWithFiniteCache(t *testing.T) {
 		if !s.Read(blk, nil).Equal(data) {
 			t.Fatalf("read %d differs", i)
 		}
+	}
+}
+
+// TestRefusedDeathSkipsRawWrite pins why RDIS's extra writes per
+// request can be negative: the Write that kills a block is refused by
+// computeParity from faults already known, so it counts a request but
+// issues no physical write.  Under the paper's request-scoped wear no
+// cell dies mid-request, so every earlier Write took exactly one raw
+// write and the block ends at RawWrites − Requests = −1.
+func TestRefusedDeathSkipsRawWrite(t *testing.T) {
+	rng := xrand.New(3)
+	blk := pcm.NewBlock(512, dist.Normal{MeanLife: 200, CoV: 0.25}, rng)
+	s := MustFactory(512, 3, failcache.Perfect{}).New().(*RDIS)
+	data := bitvec.New(512)
+	for w := 0; ; w++ {
+		if w > 100000 {
+			t.Fatal("block never died")
+		}
+		bitvec.RandomInto(data, rng)
+		before := s.OpStats()
+		blk.BeginRequest()
+		err := s.Write(blk, data)
+		blk.EndRequest()
+		if err == nil {
+			continue
+		}
+		after := s.OpStats()
+		if after.Requests != before.Requests+1 || after.RawWrites != before.RawWrites {
+			t.Fatalf("refused write: requests %d→%d, raw writes %d→%d; want +1 and unchanged",
+				before.Requests, after.Requests, before.RawWrites, after.RawWrites)
+		}
+		if extra := after.RawWrites - after.Requests; extra != -1 {
+			t.Fatalf("RawWrites − Requests = %d at death, want -1", extra)
+		}
+		return
 	}
 }

@@ -10,7 +10,11 @@ type OpStats struct {
 	Requests int64
 	// RawWrites is the number of physical block writes issued,
 	// including inversion rewrites; RawWrites − Requests is the extra
-	// write traffic the scheme generated.
+	// write traffic the scheme generated.  It can fall below Requests:
+	// a Write refused from faults already known (Aegis-rw's findSlope
+	// or RDIS's computeParity failing before the first pass) counts a
+	// request but never reaches WriteRaw, and each dying block makes
+	// one such refused Write.
 	RawWrites int64
 	// VerifyReads is the number of verification reads performed.
 	VerifyReads int64
@@ -34,6 +38,9 @@ type OpReporter interface {
 
 // ExtraWritesPerRequest returns the scheme's write amplification beyond
 // one physical write per request: (RawWrites − Requests) / Requests.
+// It is slightly negative for schemes that rarely need a second pass
+// but refuse the Write that kills each block without writing it (see
+// RawWrites): about −1/lifetime for Aegis-rw and RDIS.
 func (s OpStats) ExtraWritesPerRequest() float64 {
 	if s.Requests == 0 {
 		return 0

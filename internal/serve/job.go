@@ -27,6 +27,17 @@ const (
 	KindCurve  = "curve"
 )
 
+// Request size limits.  A job's trial count sizes its result slices,
+// block_bits sizes every simulated block, and page_bytes*8/block_bits
+// blocks are held per simulation worker, so unbounded values would let
+// one request exhaust the daemon's memory.  Every preset and paper
+// configuration is far below them (DESIGN.md §11).
+const (
+	maxTrials    = 1_000_000
+	maxBlockBits = 4096
+	maxPageBytes = 16384
+)
+
 // Job states.
 const (
 	StateQueued  = "queued"
@@ -71,8 +82,10 @@ type JobRequest struct {
 	// Shards overrides the daemon's per-job shard count (0 = daemon
 	// default).
 	Shards int `json:"shards,omitempty"`
-	// Lanes selects the bit-sliced trial width (0 = auto, 1 = scalar,
-	// 2..64 explicit; results are identical at any lane width).
+	// Lanes is accepted and ignored: it selected the removed bit-sliced
+	// execution mode (DESIGN.md §11, §13).  It is still range-checked
+	// (0–64) and echoed into the result's sharding block, so existing
+	// clients and served documents are unchanged.
 	Lanes int `json:"lanes,omitempty"`
 	// TimeoutSeconds bounds the job's run time (0 = daemon default).
 	// An expired job fails with a deadline error; its completed shards
@@ -135,8 +148,8 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 	if r.BlockBits == 0 {
 		r.BlockBits = 512
 	}
-	if r.BlockBits < 0 {
-		return nil, reqErr("block_bits", "must be positive, got %d", r.BlockBits)
+	if r.BlockBits < 0 || r.BlockBits > maxBlockBits {
+		return nil, reqErr("block_bits", "must be between 1 and %d, got %d", maxBlockBits, r.BlockBits)
 	}
 	if r.Scheme == "" {
 		return nil, reqErr("scheme", "required (grammar: %s)", SchemeGrammar)
@@ -155,8 +168,8 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 			r.Trials = p.CurveTrials
 		}
 	}
-	if r.Trials < 1 {
-		return nil, reqErr("trials", "must be at least 1, got %d", r.Trials)
+	if r.Trials < 1 || r.Trials > maxTrials {
+		return nil, reqErr("trials", "must be between 1 and %d, got %d", maxTrials, r.Trials)
 	}
 	if r.PageBytes == 0 {
 		r.PageBytes = 4096
@@ -164,8 +177,8 @@ func (r *JobRequest) normalize() (scheme.Factory, error) {
 	if r.Kind == KindPages && r.PageBytes*8 < r.BlockBits {
 		return nil, reqErr("page_bytes", "page of %d bytes cannot hold a %d-bit block", r.PageBytes, r.BlockBits)
 	}
-	if r.PageBytes < 0 {
-		return nil, reqErr("page_bytes", "must be positive, got %d", r.PageBytes)
+	if r.PageBytes < 0 || r.PageBytes > maxPageBytes {
+		return nil, reqErr("page_bytes", "must be between 1 and %d, got %d", maxPageBytes, r.PageBytes)
 	}
 	if r.Seed == 0 {
 		r.Seed = p.Seed
@@ -230,7 +243,6 @@ func (r *JobRequest) config() sim.Config {
 		CoV:       p.CoV,
 		Trials:    r.Trials,
 		Seed:      r.Seed,
-		Lanes:     r.Lanes,
 	}
 }
 

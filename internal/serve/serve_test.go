@@ -232,6 +232,9 @@ func TestInvalidPayloads(t *testing.T) {
 		{"negative shards", `{"kind":"blocks","scheme":"aegis:61","shards":-1}`, "shards"},
 		{"negative lanes", `{"kind":"blocks","scheme":"aegis:61","lanes":-1}`, "lanes"},
 		{"lanes beyond word", `{"kind":"blocks","scheme":"aegis:61","lanes":65}`, "lanes"},
+		{"trials beyond limit", `{"kind":"blocks","scheme":"aegis:61","trials":1000000000000000}`, "trials"},
+		{"block bits beyond limit", `{"kind":"blocks","scheme":"aegis:61","block_bits":1048576}`, "block_bits"},
+		{"page bytes beyond limit", `{"kind":"pages","scheme":"aegis:61","page_bytes":1073741824}`, "page_bytes"},
 		{"negative timeout", `{"kind":"blocks","scheme":"aegis:61","timeout_seconds":-2}`, "timeout_seconds"},
 		{"unknown field", `{"kind":"blocks","scheme":"aegis:61","cheese":1}`, ""},
 		{"malformed json", `{"kind":`, ""},

@@ -62,16 +62,11 @@ type Config struct {
 	TrialOffset int
 	// Workers limits parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Lanes selects the bit-sliced execution mode for schemes that
-	// support it (scheme.SlicedFactory): groups of up to Lanes trials
-	// pack into the bit lanes of each machine word and run in lockstep,
-	// with results byte-identical to the scalar path because every lane
-	// keeps the RNG of its global trial index.  0 (the default) packs
-	// full 64-lane groups and runs the remainder trials scalar; 1 forces
-	// the scalar path; 2–64 slice every group, including a clamped
-	// remainder group (values above 64 clamp to 64).  Schemes without a
-	// sliced implementation, the PulseWear ablation and event-traced
-	// runs always use the scalar path.  See DESIGN.md §13.
+	// Lanes is ignored.
+	//
+	// Deprecated: it selected the bit-sliced execution mode, removed for
+	// running slower than the scalar trial loop (DESIGN.md §13).  The
+	// field remains only because the benchmark module still sets it.
 	Lanes int
 	// Ctx, when non-nil, cancels the run: every trial checks the
 	// context before starting, so a cancelled or expired run stops
@@ -361,24 +356,9 @@ type BlockResult struct {
 
 // Blocks simulates cfg.Trials independent blocks under the given scheme,
 // each written with fresh random data until the scheme reports the block
-// unrecoverable.  Sliced-capable schemes run lane-packed per cfg.Lanes;
-// the results are byte-identical either way.
+// unrecoverable.
 func Blocks(f scheme.Factory, cfg Config) []BlockResult {
 	results := make([]BlockResult, cfg.Trials)
-	if sf, plan := cfg.slicePlan(f); plan != nil {
-		blocksSliced(sf, cfg, plan, results)
-		if plan.sliced < cfg.Trials {
-			blocksScalar(f, tailConfig(cfg, plan.sliced), results[plan.sliced:])
-		}
-		return results
-	}
-	blocksScalar(f, cfg, results)
-	return results
-}
-
-// blocksScalar is the scalar Blocks loop, filling results[trial] for
-// run-local trials of cfg.
-func blocksScalar(f scheme.Factory, cfg Config, results []BlockResult) {
 	sc := cfg.counters(f)
 	h := cfg.histograms(f)
 	name := f.Name()
@@ -416,6 +396,7 @@ func blocksScalar(f scheme.Factory, cfg Config, results []BlockResult) {
 			drainHists(h, s)
 		}
 	})
+	return results
 }
 
 // PageResult describes one page written to death.  The JSON form is
@@ -432,24 +413,9 @@ type PageResult struct {
 
 // Pages simulates cfg.Trials independent 4 KB pages under the given
 // scheme.  A page dies when any of its blocks takes an unrecoverable
-// write.  Sliced-capable schemes run lane-packed per cfg.Lanes; the
-// results are byte-identical either way.
+// write.
 func Pages(f scheme.Factory, cfg Config) []PageResult {
 	results := make([]PageResult, cfg.Trials)
-	if sf, plan := cfg.slicePlan(f); plan != nil {
-		pagesSliced(sf, cfg, plan, results)
-		if plan.sliced < cfg.Trials {
-			pagesScalar(f, tailConfig(cfg, plan.sliced), results[plan.sliced:])
-		}
-		return results
-	}
-	pagesScalar(f, cfg, results)
-	return results
-}
-
-// pagesScalar is the scalar Pages loop, filling results[trial] for
-// run-local trials of cfg.
-func pagesScalar(f scheme.Factory, cfg Config, results []PageResult) {
 	sc := cfg.counters(f)
 	h := cfg.histograms(f)
 	name := f.Name()
@@ -507,6 +473,7 @@ func pagesScalar(f scheme.Factory, cfg Config, results []PageResult) {
 			cfg.Trace.Emit(obs.Event{Scheme: name, Trial: cfg.TrialOffset + trial, Kind: "page_death", Faults: faults})
 		}
 	})
+	return results
 }
 
 // writeRequest performs one scheme write under the configured wear model.

@@ -5,19 +5,18 @@
 // §17):
 //
 //   - math/rand costs one ~4.9 KB allocation per rand.New (the 607-word
-//     lagged-Fibonacci state), paid once per trial — and 64 times per
-//     lane group on the bit-sliced path.  xrand.Rand is a plain struct
-//     whose Seed re-seeds the caller-owned state array in place, so
-//     worker arenas hold one Rand per lane for the whole run.
+//     lagged-Fibonacci state), paid once per trial.  xrand.Rand is a
+//     plain struct whose Seed re-seeds the caller-owned state array in
+//     place, so each worker arena holds one Rand for the whole run.
 //   - every math/rand draw crosses the rand.Source64 interface, which
 //     the compiler cannot devirtualize or inline.  xrand's methods are
 //     direct calls on a concrete type.
 //   - Fill(dst) generates whole words of random data per call for
-//     bitvec.RandomInto and the sliced data loops, keeping the
+//     bitvec.RandomInto and the trial loops' data refill, keeping the
 //     tap/feed cursors in registers across the buffer.
 //
 // Stream compatibility is load-bearing, not incidental: the repo's
-// golden files, shard cache keys and scalar↔sliced↔sharded↔cluster
+// golden files, shard cache keys and unsharded↔sharded↔cluster
 // byte-identity all sit on the math/rand value stream, which the Go 1
 // compatibility promise freezes.  The differential suite in this
 // package (and FuzzXrandStream) pins every method against math/rand;
@@ -122,8 +121,8 @@ func (r *Rand) Uint64() uint64 {
 // Fill overwrites dst with pseudo-random words, dst[i] receiving
 // exactly the value the i-th Uint64 call would have returned.  The
 // generator cursors stay in locals across the whole buffer, so bulk
-// data generation (bitvec.RandomInto, the sliced lane loops) pays no
-// per-word cursor reload.
+// data generation (bitvec.RandomInto, the trial loops' data refill)
+// pays no per-word cursor reload.
 func (r *Rand) Fill(dst []uint64) {
 	tap, feed := r.tap, r.feed
 	for i := range dst {

@@ -9,7 +9,7 @@ import (
 // and every method the repository's hot paths use, xrand.Rand must
 // produce exactly the value math/rand's rand.New(rand.NewSource(seed))
 // produces.  The golden files, shard cache keys and the
-// scalar↔sliced↔sharded↔cluster byte-identity suites all depend on it.
+// unsharded↔sharded↔cluster byte-identity suites all depend on it.
 
 // TestStreamUint64 pins the raw generator word stream across many
 // seeds, including the Seed normalization edge cases (0, negatives,

@@ -43,7 +43,6 @@ type JobSpec struct {
 	WritesPerStep  int      `json:"writes_per_step,omitempty"`
 	Bias           *float64 `json:"bias,omitempty"`
 	Shards         int      `json:"shards,omitempty"`
-	Lanes          int      `json:"lanes,omitempty"`
 	TimeoutSeconds float64  `json:"timeout_seconds,omitempty"`
 }
 
