@@ -23,7 +23,8 @@ test-race:
 		./internal/ecp/ ./internal/aegisrw/ \
 		./internal/experiments/ ./internal/device/ ./internal/obs/ \
 		./internal/engine/ ./internal/plane/ ./internal/bitvec/ \
-		./internal/serve/ ./internal/cluster/ ./cmd/aegisd/
+		./internal/serve/ ./internal/cluster/ ./internal/safer/ \
+		./cmd/aegisd/
 
 vet:
 	$(GO) vet ./...

@@ -21,6 +21,12 @@ import (
 // any number of same-type faults; only stuck-at-Wrong and stuck-at-Right
 // cells must not share a group.  Both relaxations are what let
 // "SAFERN-cache" tolerate far more faults in the paper's Figure 8.
+//
+// Two cells share a group exactly when their addresses agree on every
+// selected position, so a candidate position set is tested with one AND
+// per W/R fault pair, (posW ^ posR) & fieldsFingerprint(set) == 0.  No
+// group masks are kept: Write and Read build the member mask of each
+// inverted group when they apply it.
 type Cached struct {
 	n        int
 	addrBits int
@@ -31,18 +37,17 @@ type Cached struct {
 	// indistinguishable from one the factory just built.
 	renew func() failcache.View
 
-	fields     []int
-	inv        *bitvec.Vector
-	masks      []*bitvec.Vector // allocated once, refilled per field change
-	masksBuilt bool             // false until masks match the current fields
+	fields []int
+	inv    *bitvec.Vector
+	addr   []*bitvec.Vector // addrBitMasks(n), shared and read-only
 
-	phys, errs *bitvec.Vector
-	subset     []int
-	wrong      []bool
-	faults     []failcache.Fault // merged cached + locally discovered, per pass
-	local      []failcache.Fault
-	errPos     []int
-	invGroups  []int
+	phys, errs, mask *bitvec.Vector
+	subset           []int
+	wrong            []bool
+	faults           []failcache.Fault // merged cached + locally discovered, per pass
+	local            []failcache.Fault
+	errPos           []int
+	invGroups        []int
 
 	ops scheme.OpStats
 	tr  scheme.Tracer
@@ -64,8 +69,10 @@ func NewCached(n, nGroups int, view failcache.View) (*Cached, error) {
 		m:        log2(nGroups),
 		view:     view,
 		inv:      bitvec.New(nGroups),
+		addr:     addrBitMasks(n),
 		phys:     bitvec.New(n),
 		errs:     bitvec.New(n),
+		mask:     bitvec.New(n),
 	}
 	if c.m > c.addrBits {
 		c.m = c.addrBits
@@ -97,7 +104,6 @@ func (c *Cached) Reset() {
 	}
 	c.fields = c.fields[:0]
 	c.inv.Zero()
-	c.masksBuilt = false
 	c.ops = scheme.OpStats{}
 	c.tr = nil
 }
@@ -109,8 +115,10 @@ func (c *Cached) trace(e scheme.TraceEvent) {
 	}
 }
 
-// fieldsFingerprint compresses a position set into a bitmask, the
-// From/To form repartition events report for field re-selections.
+// fieldsFingerprint compresses a position set into a bitmask: the mask
+// under which two addresses share a group exactly when their XOR has no
+// bit in it, and the From/To form repartition events report for field
+// re-selections.
 func fieldsFingerprint(fields []int) int {
 	fp := 0
 	for _, pos := range fields {
@@ -119,9 +127,10 @@ func fieldsFingerprint(fields []int) int {
 	return fp
 }
 
-func (c *Cached) group(x int, fields []int) int {
+// group projects a cell address onto the selected positions.
+func (c *Cached) group(x int) int {
 	g := 0
-	for i, pos := range fields {
+	for i, pos := range c.fields {
 		g |= ((x >> uint(pos)) & 1) << uint(i)
 	}
 	return g
@@ -129,10 +138,11 @@ func (c *Cached) group(x int, fields []int) int {
 
 // selectFields enumerates all m-subsets of the address bits and returns
 // the first one under which no group holds both a stuck-at-Wrong and a
-// stuck-at-Right fault.  ok=false means no position set works and the
-// block is dead.  With 9 address bits the search space is at most
-// C(9,⌊9/2⌋) = 126 subsets, so exhaustive enumeration is what real
-// controller logic could afford too.
+// stuck-at-Right fault, that is, under which every W/R address pair
+// differs somewhere inside the subset's fingerprint.  ok=false means no
+// position set works and the block is dead.  With 9 address bits the
+// search space is at most C(9,⌊9/2⌋) = 126 subsets, so exhaustive
+// enumeration is what real controller logic could afford too.
 func (c *Cached) selectFields(faults []failcache.Fault, wrong []bool) ([]int, bool) {
 	if len(faults) == 0 {
 		return c.fields, true
@@ -146,7 +156,7 @@ func (c *Cached) selectFields(faults []failcache.Fault, wrong []bool) ([]int, bo
 		subset[i] = i
 	}
 	for {
-		if c.fieldsValid(subset, faults, wrong) {
+		if c.fieldsValid(fieldsFingerprint(subset), faults, wrong) {
 			return subset, true
 		}
 		// Advance to the next m-subset of {0,…,addrBits-1}.
@@ -164,17 +174,15 @@ func (c *Cached) selectFields(faults []failcache.Fault, wrong []bool) ([]int, bo
 	}
 }
 
-// fieldsValid reports whether the position set separates W from R faults.
-func (c *Cached) fieldsValid(fields []int, faults []failcache.Fault, wrong []bool) bool {
+// fieldsValid reports whether the position set with fingerprint sel
+// separates W from R faults.
+func (c *Cached) fieldsValid(sel int, faults []failcache.Fault, wrong []bool) bool {
 	for i := range faults {
 		if !wrong[i] {
 			continue
 		}
 		for j := range faults {
-			if wrong[j] {
-				continue
-			}
-			if c.group(faults[i].Pos, fields) == c.group(faults[j].Pos, fields) {
+			if !wrong[j] && (faults[i].Pos^faults[j].Pos)&sel == 0 {
 				return false
 			}
 		}
@@ -182,20 +190,19 @@ func (c *Cached) fieldsValid(fields []int, faults []failcache.Fault, wrong []boo
 	return true
 }
 
-func (c *Cached) rebuildMasks() {
-	if c.masks == nil {
-		c.masks = make([]*bitvec.Vector, 1<<uint(c.m))
-		for g := range c.masks {
-			c.masks[g] = bitvec.New(c.n)
-		}
-	}
-	// Fewer selected fields than the budget leave the tail groups empty.
+// invertGroups XORs into v the member mask of every group whose
+// inversion bit is set.  Groups at or past 1<<len(fields) are empty, but
+// a decoded metadata payload may still set their bits.
+func (c *Cached) invertGroups(v *bitvec.Vector) {
 	populated := 1 << uint(len(c.fields))
-	buildGroupMasks(c.masks[:populated], c.fields, c.n)
-	for _, m := range c.masks[populated:] {
-		m.Zero()
+	c.invGroups = c.inv.AppendOnes(c.invGroups[:0])
+	for _, g := range c.invGroups {
+		if g >= populated {
+			break
+		}
+		fillGroupMask(c.mask, c.addr, c.fields, g)
+		v.XorInto(c.mask)
 	}
-	c.masksBuilt = true
 }
 
 // Write implements scheme.Scheme.
@@ -231,14 +238,11 @@ func (c *Cached) Write(blk *pcm.Block, data *bitvec.Vector) error {
 				})
 			}
 			c.fields = append(c.fields[:0], fields...)
-			c.rebuildMasks()
-		} else if !c.masksBuilt {
-			c.rebuildMasks()
 		}
 		c.inv.Zero()
 		for i, f := range faults {
 			if wrong[i] {
-				c.inv.Set(c.group(f.Pos, c.fields), true)
+				c.inv.Set(c.group(f.Pos), true)
 			}
 		}
 		c.phys.CopyFrom(data)
@@ -248,10 +252,7 @@ func (c *Cached) Write(blk *pcm.Block, data *bitvec.Vector) error {
 				c.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: c.inv.PopCount(), Faults: len(faults)})
 			}
 		}
-		c.invGroups = c.inv.AppendOnes(c.invGroups[:0])
-		for _, g := range c.invGroups {
-			c.phys.XorInto(c.masks[g])
-		}
+		c.invertGroups(c.phys)
 		blk.WriteRaw(c.phys)
 		c.ops.RawWrites++
 		blk.Verify(c.phys, c.errs)
@@ -277,16 +278,7 @@ func (c *Cached) Write(blk *pcm.Block, data *bitvec.Vector) error {
 // Read implements scheme.Scheme.
 func (c *Cached) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
 	dst = blk.Read(dst)
-	if !c.inv.Any() {
-		return dst
-	}
-	if !c.masksBuilt {
-		c.rebuildMasks()
-	}
-	c.invGroups = c.inv.AppendOnes(c.invGroups[:0])
-	for _, g := range c.invGroups {
-		dst.XorInto(c.masks[g])
-	}
+	c.invertGroups(dst)
 	return dst
 }
 

@@ -102,7 +102,6 @@ func (c *Cached) UnmarshalBits(v *bitvec.Vector) error {
 	}
 	c.fields = append(c.fields[:0], raw[:count]...)
 	c.inv.CopyFrom(inv)
-	c.rebuildMasks()
 	return nil
 }
 

@@ -56,19 +56,16 @@ func addrBitMasks(n int) []*bitvec.Vector {
 	return v.([]*bitvec.Vector)
 }
 
-// buildGroupMasks fills masks[g] with the member mask of group g under
-// the given partition vector: the cells whose address projects onto g.
-// masks must hold 1<<len(fields) vectors of n bits each.
-func buildGroupMasks(masks []*bitvec.Vector, fields []int, n int) {
-	addr := addrBitMasks(n)
-	for g, m := range masks {
-		m.Fill(true)
-		for i, pos := range fields {
-			if g>>uint(i)&1 == 1 {
-				m.AndInto(addr[pos])
-			} else {
-				m.AndNotInto(addr[pos])
-			}
+// fillGroupMask sets m to the member mask of group g under the given
+// partition vector: the cells whose address projects onto g.  addr is
+// addrBitMasks(m.Len()).
+func fillGroupMask(m *bitvec.Vector, addr []*bitvec.Vector, fields []int, g int) {
+	m.Fill(true)
+	for i, pos := range fields {
+		if g>>uint(i)&1 == 1 {
+			m.AndInto(addr[pos])
+		} else {
+			m.AndNotInto(addr[pos])
 		}
 	}
 }
@@ -230,11 +227,11 @@ func (s *SAFER) addFieldFor(x1, x2 int) bool {
 // collidingPairs counts known-fault pairs sharing a group under the
 // current fields.
 func (s *SAFER) collidingPairs() int {
+	sel := fieldsFingerprint(s.fields)
 	c := 0
 	for i := 0; i < len(s.faultPos); i++ {
-		gi := s.group(s.faultPos[i])
 		for j := i + 1; j < len(s.faultPos); j++ {
-			if gi == s.group(s.faultPos[j]) {
+			if (s.faultPos[i]^s.faultPos[j])&sel == 0 {
 				c++
 			}
 		}
@@ -247,10 +244,11 @@ func (s *SAFER) collidingPairs() int {
 // exhausted first.
 func (s *SAFER) separateKnownFaults() bool {
 	for {
+		sel := fieldsFingerprint(s.fields)
 		collision := false
 		for i := 0; i < len(s.faultPos) && !collision; i++ {
 			for j := i + 1; j < len(s.faultPos); j++ {
-				if s.group(s.faultPos[i]) == s.group(s.faultPos[j]) {
+				if (s.faultPos[i]^s.faultPos[j])&sel == 0 {
 					if !s.addFieldFor(s.faultPos[i], s.faultPos[j]) {
 						return false
 					}
@@ -276,7 +274,10 @@ func (s *SAFER) groupMasks() []*bitvec.Vector {
 		s.maskStore = append(s.maskStore, bitvec.New(s.n))
 	}
 	s.masks = s.maskStore[:want]
-	buildGroupMasks(s.masks, s.fields, s.n)
+	addr := addrBitMasks(s.n)
+	for g, m := range s.masks {
+		fillGroupMask(m, addr, s.fields, g)
+	}
 	s.masksBuilt = true
 	return s.masks
 }

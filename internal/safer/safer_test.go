@@ -265,6 +265,27 @@ func BenchmarkSAFERWrite8Faults(b *testing.B) {
 	}
 }
 
+func BenchmarkCachedWrite(b *testing.B) {
+	f := MustCachedFactory(512, 128, failcache.Perfect{})
+	blk := pcm.NewImmortalBlock(512)
+	rng := xrand.New(1)
+	for _, p := range rng.Perm(512)[:12] {
+		blk.InjectFault(p, rng.Intn(2) == 0)
+	}
+	s := f.New()
+	data := make([]*bitvec.Vector, 16)
+	for i := range data {
+		data[i] = bitvec.Random(512, rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Write(blk, data[i%len(data)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestCachedMetadataAccessorsAndFiniteCache(t *testing.T) {
 	f := MustCachedFactory(512, 64, failcache.Perfect{})
 	if f.BlockBits() != 512 || f.Name() != "SAFER64-cache" {
@@ -321,22 +342,43 @@ func TestCachedValidation(t *testing.T) {
 }
 
 func TestCachedReadWithoutPriorWrite(t *testing.T) {
-	// Read on a fresh instance (masks unbuilt) must not panic even with
-	// inversion bits restored from metadata.
-	s, err := NewCached(512, 32, failcache.Perfect{}.View(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	donor, _ := NewCached(512, 32, failcache.Perfect{}.View(1))
+	// Read on a fresh instance must decode from the fields and inversion
+	// bits restored from metadata alone.
 	blk := pcm.NewImmortalBlock(512)
 	blk.InjectFault(9, true)
-	if err := donor.Write(blk, bitvec.New(512)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UnmarshalBits(donor.MarshalBits()); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Read(blk, nil).Equal(bitvec.New(512)) {
-		t.Fatal("restored read differs")
+	for _, tc := range []struct {
+		name  string
+		donor func(*Cached) error
+		want  func() *bitvec.Vector
+	}{
+		{"after-write",
+			func(d *Cached) error { return d.Write(blk, bitvec.New(512)) },
+			func() *bitvec.Vector { return bitvec.New(512) }},
+		// One field in use leaves groups 2..31 empty; an inversion bit
+		// at one of them must not flip any cell.
+		{"tail-group",
+			func(d *Cached) error {
+				d.fields = []int{4}
+				d.inv.Set(5, true)
+				return nil
+			},
+			func() *bitvec.Vector { return blk.Read(nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewCached(512, 32, failcache.Perfect{}.View(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			donor, _ := NewCached(512, 32, failcache.Perfect{}.View(1))
+			if err := tc.donor(donor); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.UnmarshalBits(donor.MarshalBits()); err != nil {
+				t.Fatal(err)
+			}
+			if !s.Read(blk, nil).Equal(tc.want()) {
+				t.Fatal("restored read differs")
+			}
+		})
 	}
 }
