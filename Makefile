@@ -24,7 +24,7 @@ test-race:
 		./internal/experiments/ ./internal/device/ ./internal/obs/ \
 		./internal/engine/ ./internal/plane/ ./internal/bitvec/ \
 		./internal/serve/ ./internal/cluster/ ./internal/safer/ \
-		./cmd/aegisd/
+		./internal/rdis/ ./internal/failcache/ ./cmd/aegisd/
 
 vet:
 	$(GO) vet ./...

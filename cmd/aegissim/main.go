@@ -10,8 +10,9 @@
 //	aegissim -scheme safer-64 -workload hotspot -pairing=false
 //	aegissim -list
 //
-// Schemes: aegis-BxB (e.g. aegis-23x23), aegis-rw-BxB, safer-N, ecp-N,
-// rdis-3, hamming.  Workloads: uniform, sequential, zipf, hotspot.
+// Schemes: aegis-AxB (e.g. aegis-23x23; A must be the layout's own
+// ⌈blockbits/B⌉) or aegis-B, aegis-rw-AxB, safer-N, ecp-N, rdis-3,
+// hamming.  Workloads: uniform, sequential, zipf, hotspot.
 // Levelers: none, start-gap, start-gap-rand, security-refresh.
 package main
 
@@ -29,6 +30,7 @@ import (
 	"aegis/internal/ecc"
 	"aegis/internal/ecp"
 	"aegis/internal/failcache"
+	"aegis/internal/plane"
 	"aegis/internal/rdis"
 	"aegis/internal/safer"
 	"aegis/internal/scheme"
@@ -64,13 +66,13 @@ func parseScheme(spec string, blockBits int) (scheme.Factory, error) {
 		}
 		return ecp.NewFactory(blockBits, n)
 	case strings.HasPrefix(spec, "aegis-rw-"):
-		b, err := parseAxB(strings.TrimPrefix(spec, "aegis-rw-"))
+		b, err := parseAxB(strings.TrimPrefix(spec, "aegis-rw-"), blockBits)
 		if err != nil {
 			return nil, fmt.Errorf("bad scheme %q: %v", spec, err)
 		}
 		return aegisrw.NewRWFactory(blockBits, b, cache)
 	case strings.HasPrefix(spec, "aegis-"):
-		b, err := parseAxB(strings.TrimPrefix(spec, "aegis-"))
+		b, err := parseAxB(strings.TrimPrefix(spec, "aegis-"), blockBits)
 		if err != nil {
 			return nil, fmt.Errorf("bad scheme %q: %v", spec, err)
 		}
@@ -80,15 +82,31 @@ func parseScheme(spec string, blockBits int) (scheme.Factory, error) {
 	}
 }
 
-// parseAxB extracts B from an "AxB" spec (the A is derived from the
-// block size anyway) or accepts a bare prime.
-func parseAxB(s string) (int, error) {
-	if i := strings.IndexByte(s, 'x'); i >= 0 {
-		s = s[i+1:]
+// parseAxB extracts B from an "AxB" or bare "B" spec.  A is not free:
+// the layout of blockBits-bit blocks has A = ⌈blockBits/B⌉, so a given A
+// must equal it.
+func parseAxB(s string, blockBits int) (int, error) {
+	aStr, bStr, hasA := strings.Cut(s, "x")
+	if !hasA {
+		bStr = aStr
 	}
-	b, err := strconv.Atoi(s)
+	b, err := strconv.Atoi(bStr)
 	if err != nil {
-		return 0, fmt.Errorf("cannot parse B from %q", s)
+		return 0, fmt.Errorf("cannot parse B from %q", bStr)
+	}
+	if !hasA {
+		return b, nil
+	}
+	a, err := strconv.Atoi(aStr)
+	if err != nil {
+		return 0, fmt.Errorf("cannot parse A from %q", aStr)
+	}
+	l, err := plane.NewLayout(blockBits, b)
+	if err != nil {
+		return 0, err
+	}
+	if a != l.A {
+		return 0, fmt.Errorf("A=%d differs from the %s layout of %d-bit blocks", a, l, blockBits)
 	}
 	return b, nil
 }

@@ -48,7 +48,7 @@ func TestSchemeSpecs(t *testing.T) {
 			t.Errorf("parseScheme(%q): %v", spec, err)
 		}
 	}
-	for _, spec := range []string{"", "aegis-", "aegis-24", "safer-x", "ecp-", "unknown"} {
+	for _, spec := range []string{"", "aegis-", "aegis-24", "aegis-5x61", "aegis-rw-23x61", "safer-x", "ecp-", "unknown"} {
 		if _, err := parseScheme(spec, 512); err == nil {
 			t.Errorf("parseScheme(%q) accepted", spec)
 		}

@@ -31,23 +31,12 @@ import (
 // RW is the per-block state of Aegis-rw.
 type RW struct {
 	layout *plane.Layout
-	view   failcache.View
-	// renew, when set by the factory, hands Reset a fresh fail-cache
-	// view (and with it a fresh block ID), so a reused instance is
-	// indistinguishable from one the factory just built.
-	renew func() failcache.View
-	slope int
-	inv   *bitvec.Vector
+	w      failcache.Writer
+	slope  int
+	inv    *bitvec.Vector
 
-	phys, errs *bitvec.Vector
-	excluded   []bool
-	wrong      []bool
-	faults     []failcache.Fault // merged cached + locally discovered, per pass
-	local      []failcache.Fault
-	errPos     []int
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
+	excluded []bool
+	wrong    []bool
 }
 
 var _ scheme.Scheme = (*RW)(nil)
@@ -57,10 +46,8 @@ var _ scheme.Scheme = (*RW)(nil)
 func NewRW(l *plane.Layout, view failcache.View) *RW {
 	return &RW{
 		layout:   l,
-		view:     view,
+		w:        failcache.NewWriter(l.N, view),
 		inv:      bitvec.New(l.B),
-		phys:     bitvec.New(l.N),
-		errs:     bitvec.New(l.N),
 		excluded: make([]bool, l.B),
 	}
 }
@@ -78,38 +65,25 @@ func (a *RW) OverheadBits() int { return a.layout.OverheadBits() }
 func (a *RW) Slope() int { return a.slope }
 
 // OpStats implements scheme.OpReporter.
-func (a *RW) OpStats() scheme.OpStats { return a.ops }
+func (a *RW) OpStats() scheme.OpStats { return a.w.Ops }
 
 // SetTracer implements scheme.Traceable.
-func (a *RW) SetTracer(t scheme.Tracer) { a.tr = t }
+func (a *RW) SetTracer(t scheme.Tracer) { a.w.Tr = t }
 
-// trace reports a decision event when a tracer is attached.
-func (a *RW) trace(e scheme.TraceEvent) {
-	if a.tr != nil {
-		a.tr.TraceEvent(e)
-	}
-}
-
-// Reset implements scheme.Resettable.  When the factory installed a
-// renew hook the instance also acquires a fresh fail-cache view, so a
-// finite cache sees a new block ID exactly as it would for a freshly
-// constructed instance.
+// Reset implements scheme.Resettable.  An instance built by a factory
+// also takes a fresh block ID (see failcache.Writer.Reset).
 func (a *RW) Reset() {
-	if a.renew != nil {
-		a.view = a.renew()
-	}
+	a.w.Reset()
 	a.slope = 0
 	a.inv.Zero()
-	a.ops = scheme.OpStats{}
-	a.tr = nil
 }
 
-// findSlope returns a slope under which no group mixes W and R faults,
-// searching from the current slope, or ok=false.  wrong[i] is the W/R
-// classification of faults[i] for the data being written.
-func (a *RW) findSlope(faults []failcache.Fault, wrong []bool) (int, bool) {
-	for i := range a.excluded {
-		a.excluded[i] = false
+// excludeSlopes sets excluded[k] for every slope k under which some
+// group would hold both a W and an R fault, and clears the rest.
+// wrong[i] is the W/R classification of faults[i].
+func excludeSlopes(l *plane.Layout, excluded []bool, faults []failcache.Fault, wrong []bool) {
+	for i := range excluded {
+		excluded[i] = false
 	}
 	// Only W–R pairs exclude a slope, and each pair excludes exactly
 	// one (Theorem 2) — or none, when the pair shares a rectangle
@@ -122,11 +96,18 @@ func (a *RW) findSlope(faults []failcache.Fault, wrong []bool) (int, bool) {
 			if wrong[j] {
 				continue
 			}
-			if k, ok := a.layout.CollidingSlope(faults[i].Pos, faults[j].Pos); ok {
-				a.excluded[k] = true
+			if k, ok := l.CollidingSlope(faults[i].Pos, faults[j].Pos); ok {
+				excluded[k] = true
 			}
 		}
 	}
+}
+
+// findSlope returns a slope under which no group mixes W and R faults,
+// searching from the current slope, or ok=false.  wrong[i] is the W/R
+// classification of faults[i] for the data being written.
+func (a *RW) findSlope(faults []failcache.Fault, wrong []bool) (int, bool) {
+	excludeSlopes(a.layout, a.excluded, faults, wrong)
 	for d := 0; d < a.layout.B; d++ {
 		k := (a.slope + d) % a.layout.B
 		if !a.excluded[k] {
@@ -141,82 +122,38 @@ func (a *RW) Write(blk *pcm.Block, data *bitvec.Vector) error {
 	if data.Len() != a.layout.N {
 		panic(fmt.Sprintf("aegisrw: write of %d bits into %s scheme", data.Len(), a.layout))
 	}
-	a.ops.Requests++
-	// a.local holds faults seen during this write request, keyed by
-	// position.  With a perfect cache this stays empty; with a finite
-	// cache it prevents a pair of slot-colliding faults from evicting
-	// each other between verification passes forever.
-	a.local = a.local[:0]
-	// A write normally completes in one pass; extra passes happen only
-	// when a cell dies during this very write (or, with a finite
-	// cache, when a fault was evicted and must be rediscovered).
-	for iter := 0; iter <= a.layout.N; iter++ {
-		a.faults = a.view.AppendKnown(blk, a.faults[:0])
-		for _, f := range a.local {
-			a.faults = appendFault(a.faults, f)
-		}
-		faults := a.faults
-		wrong := a.wrong[:0]
-		for _, f := range faults {
-			wrong = append(wrong, f.Val != data.Get(f.Pos))
-		}
-		a.wrong = wrong
-		k, ok := a.findSlope(faults, wrong)
-		if !ok {
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(faults), Cause: scheme.CauseNoSlope})
-			return scheme.ErrUnrecoverable
-		}
-		if k != a.slope {
-			a.ops.Repartitions++
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceRepartition, From: a.slope, To: k, Faults: len(faults)})
-		}
-		a.slope = k
-		a.inv.Zero()
-		for i, f := range faults {
-			if wrong[i] {
-				a.inv.Set(a.layout.Group(f.Pos, a.slope), true)
-			}
-		}
-		a.phys.CopyFrom(data)
-		if a.inv.Any() {
-			a.ops.Inversions++
-			if a.tr != nil {
-				a.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: a.inv.PopCount(), Faults: len(faults)})
-			}
-		}
-		a.layout.XorGroups(a.phys, a.inv, a.slope)
-		blk.WriteRaw(a.phys)
-		a.ops.RawWrites++
-		blk.Verify(a.phys, a.errs)
-		a.ops.VerifyReads++
-		if !a.errs.Any() {
-			if iter > 0 {
-				a.ops.Salvages++
-				a.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(faults)})
-			}
-			return nil
-		}
-		a.errPos = a.errs.AppendOnes(a.errPos[:0])
-		for _, p := range a.errPos {
-			f := failcache.Fault{Pos: p, Val: !a.phys.Get(p)}
-			a.view.Record(f)
-			a.local = appendFault(a.local, f)
-		}
-	}
-	a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(a.local), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+	return a.w.Write(blk, data, a)
 }
 
-// appendFault adds f unless a fault at the same position is present
-// (cached entries win on duplicates; the values agree anyway — stuck
-// values never change).
-func appendFault(s []failcache.Fault, f failcache.Fault) []failcache.Fault {
-	for _, g := range s {
-		if g.Pos == f.Pos {
-			return s
+// Encode implements failcache.Encoder: it moves to the first slope from
+// the current one that keeps W and R faults apart and inverts every
+// group holding a W fault.
+func (a *RW) Encode(faults []failcache.Fault, data, phys *bitvec.Vector) string {
+	a.wrong = failcache.AppendWrong(a.wrong[:0], faults, data)
+	k, ok := a.findSlope(faults, a.wrong)
+	if !ok {
+		return scheme.CauseNoSlope
+	}
+	if k != a.slope {
+		a.w.Ops.Repartitions++
+		a.w.Trace(scheme.TraceEvent{Kind: scheme.TraceRepartition, From: a.slope, To: k, Faults: len(faults)})
+	}
+	a.slope = k
+	a.inv.Zero()
+	for i, f := range faults {
+		if a.wrong[i] {
+			a.inv.Set(a.layout.Group(f.Pos, a.slope), true)
 		}
 	}
-	return append(s, f)
+	phys.CopyFrom(data)
+	if a.inv.Any() {
+		a.w.Ops.Inversions++
+		if a.w.Tr != nil {
+			a.w.Trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: a.inv.PopCount(), Faults: len(faults)})
+		}
+	}
+	a.layout.XorGroups(phys, a.inv, a.slope)
+	return ""
 }
 
 // Read implements scheme.Scheme.
@@ -271,8 +208,8 @@ func (f *RWFactory) OverheadBits() int { return f.L.OverheadBits() }
 
 // New implements scheme.Factory.
 func (f *RWFactory) New() scheme.Scheme {
-	s := NewRW(f.L, f.Cache.View(f.nextID.Add(1)-1))
-	s.renew = func() failcache.View { return f.Cache.View(f.nextID.Add(1) - 1) }
+	s := NewRW(f.L, nil)
+	s.w.UseBlockIDs(f.Cache, &f.nextID)
 	return s
 }
 

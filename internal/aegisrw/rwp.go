@@ -25,27 +25,17 @@ import (
 // sweeps.
 type RWP struct {
 	layout *plane.Layout
-	view   failcache.View
-	// renew, when set by the factory, hands Reset a fresh fail-cache
-	// view (and with it a fresh block ID), so a reused instance is
-	// indistinguishable from one the factory just built.
-	renew func() failcache.View
-	p     int
+	w      failcache.Writer
+	p      int
 
 	slope      int
 	complement bool  // true: pointers list the NOT-inverted groups
 	pointers   []int // group IDs, ≤ P of them
 
-	phys, errs, maskBuf *bitvec.Vector
-	excluded            []bool
-	wrong               []bool
-	faults              []failcache.Fault // merged cached + locally discovered, per pass
-	local               []failcache.Fault
-	errPos              []int
-	wGroups, rGroups    []int // distinct W/R group scratch for planSlope
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
+	maskBuf          *bitvec.Vector
+	excluded         []bool
+	wrong            []bool
+	wGroups, rGroups []int // distinct W/R group scratch for planSlope
 }
 
 var _ scheme.Scheme = (*RWP)(nil)
@@ -58,11 +48,9 @@ func NewRWP(l *plane.Layout, view failcache.View, p int) *RWP {
 	}
 	return &RWP{
 		layout:   l,
-		view:     view,
+		w:        failcache.NewWriter(l.N, view),
 		p:        p,
 		pointers: make([]int, 0, p),
-		phys:     bitvec.New(l.N),
-		errs:     bitvec.New(l.N),
 		maskBuf:  bitvec.New(l.N),
 		excluded: make([]bool, l.B),
 	}
@@ -89,31 +77,18 @@ func (a *RWP) Complement() bool { return a.complement }
 func (a *RWP) Slope() int { return a.slope }
 
 // OpStats implements scheme.OpReporter.
-func (a *RWP) OpStats() scheme.OpStats { return a.ops }
+func (a *RWP) OpStats() scheme.OpStats { return a.w.Ops }
 
 // SetTracer implements scheme.Traceable.
-func (a *RWP) SetTracer(t scheme.Tracer) { a.tr = t }
+func (a *RWP) SetTracer(t scheme.Tracer) { a.w.Tr = t }
 
-// trace reports a decision event when a tracer is attached.
-func (a *RWP) trace(e scheme.TraceEvent) {
-	if a.tr != nil {
-		a.tr.TraceEvent(e)
-	}
-}
-
-// Reset implements scheme.Resettable.  When the factory installed a
-// renew hook the instance also acquires a fresh fail-cache view, so a
-// finite cache sees a new block ID exactly as it would for a freshly
-// constructed instance.
+// Reset implements scheme.Resettable.  An instance built by a factory
+// also takes a fresh block ID (see failcache.Writer.Reset).
 func (a *RWP) Reset() {
-	if a.renew != nil {
-		a.view = a.renew()
-	}
+	a.w.Reset()
 	a.slope = 0
 	a.complement = false
 	a.pointers = a.pointers[:0]
-	a.ops = scheme.OpStats{}
-	a.tr = nil
 }
 
 // planSlope finds, starting from the current slope, a slope that (a)
@@ -121,22 +96,7 @@ func (a *RWP) Reset() {
 // holding W faults number ≤ P, or the groups holding R faults number
 // ≤ P.  It returns the slope, the pointer list and the mode.
 func (a *RWP) planSlope(faults []failcache.Fault, wrong []bool) (k int, pointers []int, complement, ok bool) {
-	for i := range a.excluded {
-		a.excluded[i] = false
-	}
-	for i := range faults {
-		if !wrong[i] {
-			continue
-		}
-		for j := range faults {
-			if wrong[j] {
-				continue
-			}
-			if s, collides := a.layout.CollidingSlope(faults[i].Pos, faults[j].Pos); collides {
-				a.excluded[s] = true
-			}
-		}
-	}
+	excludeSlopes(a.layout, a.excluded, faults, wrong)
 	for d := 0; d < a.layout.B; d++ {
 		k = (a.slope + d) % a.layout.B
 		if a.excluded[k] {
@@ -190,60 +150,34 @@ func (a *RWP) Write(blk *pcm.Block, data *bitvec.Vector) error {
 	if data.Len() != a.layout.N {
 		panic(fmt.Sprintf("aegisrw: write of %d bits into %s scheme", data.Len(), a.layout))
 	}
-	a.ops.Requests++
-	a.local = a.local[:0]
-	for iter := 0; iter <= a.layout.N; iter++ {
-		a.faults = a.view.AppendKnown(blk, a.faults[:0])
-		for _, f := range a.local {
-			a.faults = appendFault(a.faults, f)
-		}
-		faults := a.faults
-		wrong := a.wrong[:0]
-		for _, f := range faults {
-			wrong = append(wrong, f.Val != data.Get(f.Pos))
-		}
-		a.wrong = wrong
-		k, pointers, complement, ok := a.planSlope(faults, wrong)
-		if !ok {
-			// planSlope fails only when every W/R-separating slope
-			// exceeds the pointer budget on both sides (or none exists).
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(faults), Cause: scheme.CausePointerBudget})
-			return scheme.ErrUnrecoverable
-		}
-		if k != a.slope {
-			a.ops.Repartitions++
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceRepartition, From: a.slope, To: k, Faults: len(faults)})
-		}
-		a.slope = k
-		a.pointers = append(a.pointers[:0], pointers...)
-		a.complement = complement
+	return a.w.Write(blk, data, a)
+}
 
-		mask := a.invertedMask(k, pointers, complement)
-		if mask.Any() {
-			a.ops.Inversions++
-			a.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: len(pointers), Faults: len(faults)})
-		}
-		a.phys.Xor(data, mask)
-		blk.WriteRaw(a.phys)
-		a.ops.RawWrites++
-		blk.Verify(a.phys, a.errs)
-		a.ops.VerifyReads++
-		if !a.errs.Any() {
-			if iter > 0 {
-				a.ops.Salvages++
-				a.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(faults)})
-			}
-			return nil
-		}
-		a.errPos = a.errs.AppendOnes(a.errPos[:0])
-		for _, p := range a.errPos {
-			f := failcache.Fault{Pos: p, Val: !a.phys.Get(p)}
-			a.view.Record(f)
-			a.local = appendFault(a.local, f)
-		}
+// Encode implements failcache.Encoder: it plans a slope and pointer set
+// within the budget and stores data with the pointed-to side inverted.
+func (a *RWP) Encode(faults []failcache.Fault, data, phys *bitvec.Vector) string {
+	a.wrong = failcache.AppendWrong(a.wrong[:0], faults, data)
+	k, pointers, complement, ok := a.planSlope(faults, a.wrong)
+	if !ok {
+		// planSlope fails only when every W/R-separating slope
+		// exceeds the pointer budget on both sides (or none exists).
+		return scheme.CausePointerBudget
 	}
-	a.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(a.local), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+	if k != a.slope {
+		a.w.Ops.Repartitions++
+		a.w.Trace(scheme.TraceEvent{Kind: scheme.TraceRepartition, From: a.slope, To: k, Faults: len(faults)})
+	}
+	a.slope = k
+	a.pointers = append(a.pointers[:0], pointers...)
+	a.complement = complement
+
+	mask := a.invertedMask(k, pointers, complement)
+	if mask.Any() {
+		a.w.Ops.Inversions++
+		a.w.Trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: len(pointers), Faults: len(faults)})
+	}
+	phys.Xor(data, mask)
+	return ""
 }
 
 // Read implements scheme.Scheme.
@@ -298,8 +232,8 @@ func (f *RWPFactory) OverheadBits() int {
 
 // New implements scheme.Factory.
 func (f *RWPFactory) New() scheme.Scheme {
-	s := NewRWP(f.L, f.Cache.View(f.nextID.Add(1)-1), f.P)
-	s.renew = func() failcache.View { return f.Cache.View(f.nextID.Add(1) - 1) }
+	s := NewRWP(f.L, nil, f.P)
+	s.w.UseBlockIDs(f.Cache, &f.nextID)
 	return s
 }
 

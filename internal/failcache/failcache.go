@@ -6,7 +6,8 @@
 // large cache", i.e. every fault is always known); that is Perfect here.
 // DirectMapped is a finite direct-mapped variant provided for ablation
 // studies: lookups can miss, in which case a scheme falls back to
-// discovery through verification reads.
+// discovery through verification reads.  Writer is the write loop
+// shared by the schemes that consult a fail cache.
 package failcache
 
 import (
@@ -22,13 +23,9 @@ type Fault = pcm.CellFault
 
 // View is a block's window into a fail cache.
 type View interface {
-	// Known returns the faults of blk the cache knows about, in
-	// ascending position order.
-	Known(blk *pcm.Block) []Fault
 	// AppendKnown appends the faults of blk the cache knows about to
 	// buf in ascending position order and returns the extended slice.
-	// It is the allocation-free form of Known for hot paths: callers
-	// pass buf[:0] of a reused scratch slice.
+	// Hot paths pass buf[:0] of a reused scratch slice.
 	AppendKnown(blk *pcm.Block, buf []Fault) []Fault
 	// Record tells the cache about a fault discovered by a
 	// verification read.
@@ -55,13 +52,8 @@ func (Perfect) View(uint64) View { return perfectView{} }
 
 type perfectView struct{}
 
-// Known reads the ground truth from the block itself — the definition of
-// a cache that never misses.
-func (perfectView) Known(blk *pcm.Block) []Fault {
-	return blk.AppendFaults(nil)
-}
-
-// AppendKnown implements View without allocating.
+// AppendKnown reads the ground truth from the block itself — the
+// definition of a cache that never misses.
 func (perfectView) AppendKnown(blk *pcm.Block, buf []Fault) []Fault {
 	return blk.AppendFaults(buf)
 }
@@ -121,15 +113,11 @@ type dmView struct {
 	scratch []Fault // reused ground-truth buffer for AppendKnown
 }
 
-// Known returns the subset of blk's faults currently resident in the
-// cache.  Misses are possible: a fault evicted by another block's insert
-// is unknown until rediscovered.
-func (v *dmView) Known(blk *pcm.Block) []Fault {
-	return v.AppendKnown(blk, nil)
-}
-
-// AppendKnown implements View without allocating in steady state (the
-// view-owned ground-truth scratch grows once, then is reused).
+// AppendKnown appends the subset of blk's faults currently resident in
+// the cache.  Misses are possible: a fault evicted by another block's
+// insert is unknown until rediscovered.  It does not allocate in steady
+// state (the view-owned ground-truth scratch grows once, then is
+// reused).
 func (v *dmView) AppendKnown(blk *pcm.Block, buf []Fault) []Fault {
 	v.scratch = blk.AppendFaults(v.scratch[:0])
 	for _, f := range v.scratch {

@@ -12,7 +12,7 @@ func TestPerfectKnowsEverything(t *testing.T) {
 	blk.InjectFault(100, false)
 
 	v := Perfect{}.View(42)
-	known := v.Known(blk)
+	known := v.AppendKnown(blk, nil)
 	if len(known) != 2 {
 		t.Fatalf("Known = %v", known)
 	}
@@ -33,16 +33,16 @@ func TestDirectMappedRecordAndLookup(t *testing.T) {
 
 	c := NewDirectMapped(64)
 	v := c.View(7)
-	if got := v.Known(blk); len(got) != 0 {
+	if got := v.AppendKnown(blk, nil); len(got) != 0 {
 		t.Fatalf("cold cache knows %v", got)
 	}
 	v.Record(Fault{Pos: 3, Val: true})
-	got := v.Known(blk)
+	got := v.AppendKnown(blk, nil)
 	if len(got) != 1 || got[0].Pos != 3 || !got[0].Val {
 		t.Fatalf("after record, Known = %v", got)
 	}
 	v.Record(Fault{Pos: 100, Val: false})
-	if got := v.Known(blk); len(got) != 2 {
+	if got := v.AppendKnown(blk, nil); len(got) != 2 {
 		t.Fatalf("Known = %v", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestDirectMappedIsolationBetweenBlocks(t *testing.T) {
 	va := c.View(1)
 	vb := c.View(2)
 	va.Record(Fault{Pos: 3, Val: true})
-	if got := vb.Known(blkB); len(got) != 0 {
+	if got := vb.AppendKnown(blkB, nil); len(got) != 0 {
 		t.Fatalf("block B sees block A's entry: %v", got)
 	}
 }
@@ -75,7 +75,7 @@ func TestDirectMappedEviction(t *testing.T) {
 	v := c.View(7)
 	v.Record(Fault{Pos: 3, Val: true})
 	v.Record(Fault{Pos: 100, Val: false})
-	got := v.Known(blk)
+	got := v.AppendKnown(blk, nil)
 	if len(got) != 1 || got[0].Pos != 100 {
 		t.Fatalf("after eviction, Known = %v", got)
 	}

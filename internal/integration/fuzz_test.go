@@ -3,8 +3,12 @@ package integration
 import (
 	"testing"
 
+	"aegis/internal/aegisrw"
 	"aegis/internal/bitvec"
+	"aegis/internal/failcache"
 	"aegis/internal/pcm"
+	"aegis/internal/rdis"
+	"aegis/internal/safer"
 	"aegis/internal/scheme"
 	"aegis/internal/serve"
 	"aegis/internal/xrand"
@@ -25,9 +29,24 @@ var fuzzSpecs = []string{
 	"rdis:3",
 }
 
-// schemeUnderFuzz maps a fuzz byte onto fuzzSpecs plus None.
+// finiteCacheArms are the fail-cache schemes of fuzzSpecs on an 8-entry
+// direct-mapped cache, which serve.ResolveScheme never builds: evicted
+// faults must be rediscovered by verification, the write loop's path
+// through its request-local fault list.
+var finiteCacheArms = []func() scheme.Factory{
+	func() scheme.Factory { return aegisrw.MustRWFactory(512, 31, failcache.NewDirectMapped(8)) },
+	func() scheme.Factory { return aegisrw.MustRWPFactory(512, 23, 4, failcache.NewDirectMapped(8)) },
+	func() scheme.Factory { return safer.MustCachedFactory(512, 32, failcache.NewDirectMapped(8)) },
+	func() scheme.Factory { return rdis.MustFactory(512, 3, failcache.NewDirectMapped(8)) },
+}
+
+// schemeUnderFuzz maps a fuzz byte onto fuzzSpecs, None, then
+// finiteCacheArms.
 func schemeUnderFuzz(t *testing.T, pick uint8) scheme.Factory {
-	i := int(pick) % (len(fuzzSpecs) + 1)
+	i := int(pick) % (len(fuzzSpecs) + 1 + len(finiteCacheArms))
+	if i > len(fuzzSpecs) {
+		return finiteCacheArms[i-len(fuzzSpecs)-1]()
+	}
 	if i == len(fuzzSpecs) {
 		return scheme.NoneFactory{Bits: 512}
 	}
@@ -47,6 +66,18 @@ func schemeUnderFuzz(t *testing.T, pick uint8) scheme.Factory {
 func FuzzSchemeWriteRead(f *testing.F) {
 	for pick := 0; pick <= len(fuzzSpecs); pick++ {
 		f.Add(uint8(pick), []byte{0, 5, 1, 1, 7, 0, 0, 66, 1, 1, 200, 0}, uint64(0xdeadbeef), uint64(0x12345678))
+	}
+	// Sixteen faults overflow the 8-entry cache, so later writes
+	// rediscover evicted faults.
+	var many []byte
+	for k := 0; k < 16; k++ {
+		pos := 31*k + 11
+		many = append(many, byte(pos>>8), byte(pos), byte(k&1))
+	}
+	for arm := range finiteCacheArms {
+		pick := uint8(len(fuzzSpecs) + 1 + arm)
+		f.Add(pick, []byte{0, 5, 1, 1, 7, 0, 0, 66, 1, 1, 200, 0}, uint64(0xdeadbeef), uint64(0x12345678))
+		f.Add(pick, many, uint64(0x0f0f0f0f), uint64(0xa5a5a5a5))
 	}
 	f.Fuzz(func(t *testing.T, pick uint8, faults []byte, dataLo, dataHi uint64) {
 		const n = 512

@@ -38,24 +38,13 @@ import (
 // RDIS is the per-block state of RDIS-k.
 type RDIS struct {
 	n, rows, cols, depth int
-	view                 failcache.View
-	// renew, when set by the factory, hands Reset a fresh fail-cache
-	// view (and with it a fresh block ID), so a reused instance is
-	// indistinguishable from one the factory just built.
-	renew func() failcache.View
+	w                    failcache.Writer
 
-	parity     *bitvec.Vector // inversion mask of the last successful write
-	phys, errs *bitvec.Vector
+	parity *bitvec.Vector // inversion mask of the last successful write
 
 	// Row/column membership scratch for computeParity's level recursion.
 	prevRow, curRow []bool
 	prevCol, curCol []bool
-	faults          []failcache.Fault // merged cached + locally discovered, per pass
-	local           []failcache.Fault
-	errPos          []int
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
 }
 
 var _ scheme.Scheme = (*RDIS)(nil)
@@ -71,10 +60,8 @@ func New(n, rows, cols, depth int, view failcache.View) (*RDIS, error) {
 	}
 	return &RDIS{
 		n: n, rows: rows, cols: cols, depth: depth,
-		view:    view,
+		w:       failcache.NewWriter(n, view),
 		parity:  bitvec.New(n),
-		phys:    bitvec.New(n),
-		errs:    bitvec.New(n),
 		prevRow: make([]bool, rows),
 		curRow:  make([]bool, rows),
 		prevCol: make([]bool, cols),
@@ -92,29 +79,16 @@ func (r *RDIS) OverheadBits() int { return OverheadBits(r.rows, r.cols) }
 func OverheadBits(rows, cols int) int { return 2*(rows+cols) + 1 }
 
 // OpStats implements scheme.OpReporter.
-func (r *RDIS) OpStats() scheme.OpStats { return r.ops }
+func (r *RDIS) OpStats() scheme.OpStats { return r.w.Ops }
 
 // SetTracer implements scheme.Traceable.
-func (r *RDIS) SetTracer(t scheme.Tracer) { r.tr = t }
+func (r *RDIS) SetTracer(t scheme.Tracer) { r.w.Tr = t }
 
-// Reset implements scheme.Resettable.  When the factory installed a
-// renew hook the instance also acquires a fresh fail-cache view, so a
-// finite cache sees a new block ID exactly as it would for a freshly
-// constructed instance.
+// Reset implements scheme.Resettable.  An instance built by a factory
+// also takes a fresh block ID (see failcache.Writer.Reset).
 func (r *RDIS) Reset() {
-	if r.renew != nil {
-		r.view = r.renew()
-	}
+	r.w.Reset()
 	r.parity.Zero()
-	r.ops = scheme.OpStats{}
-	r.tr = nil
-}
-
-// trace reports a decision event when a tracer is attached.
-func (r *RDIS) trace(e scheme.TraceEvent) {
-	if r.tr != nil {
-		r.tr.TraceEvent(e)
-	}
 }
 
 // cellOf maps matrix coordinates to the bit offset (row-major).
@@ -224,46 +198,24 @@ func (r *RDIS) Write(blk *pcm.Block, data *bitvec.Vector) error {
 	if data.Len() != r.n {
 		panic(fmt.Sprintf("rdis: write of %d bits into %d-bit scheme", data.Len(), r.n))
 	}
-	r.ops.Requests++
-	r.local = r.local[:0]
-	for iter := 0; iter <= r.n; iter++ {
-		r.faults = r.view.AppendKnown(blk, r.faults[:0])
-		for _, f := range r.local {
-			r.faults = appendFault(r.faults, f)
-		}
-		faults := r.faults
-		if !r.computeParity(faults, data, r.parity) {
-			r.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(faults), Cause: scheme.CauseDepthExhausted})
-			return scheme.ErrUnrecoverable
-		}
-		if r.parity.Any() {
-			r.ops.Inversions++
-			if r.tr != nil {
-				// RDIS has no group notion; Groups reports inverted cells.
-				r.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: r.parity.PopCount(), Faults: len(faults)})
-			}
-		}
-		r.phys.Xor(data, r.parity)
-		blk.WriteRaw(r.phys)
-		r.ops.RawWrites++
-		blk.Verify(r.phys, r.errs)
-		r.ops.VerifyReads++
-		if !r.errs.Any() {
-			if iter > 0 {
-				r.ops.Salvages++
-				r.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(faults)})
-			}
-			return nil
-		}
-		r.errPos = r.errs.AppendOnes(r.errPos[:0])
-		for _, p := range r.errPos {
-			f := failcache.Fault{Pos: p, Val: !r.phys.Get(p)}
-			r.view.Record(f)
-			r.local = appendFault(r.local, f)
+	return r.w.Write(blk, data, r)
+}
+
+// Encode implements failcache.Encoder: it stores data XOR the
+// invertible-set parity built over the known faults.
+func (r *RDIS) Encode(faults []failcache.Fault, data, phys *bitvec.Vector) string {
+	if !r.computeParity(faults, data, r.parity) {
+		return scheme.CauseDepthExhausted
+	}
+	if r.parity.Any() {
+		r.w.Ops.Inversions++
+		if r.w.Tr != nil {
+			// RDIS has no group notion; Groups reports inverted cells.
+			r.w.Trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: r.parity.PopCount(), Faults: len(faults)})
 		}
 	}
-	r.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(r.local), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+	phys.Xor(data, r.parity)
+	return ""
 }
 
 // Read implements scheme.Scheme.
@@ -271,18 +223,6 @@ func (r *RDIS) Read(blk *pcm.Block, dst *bitvec.Vector) *bitvec.Vector {
 	dst = blk.Read(dst)
 	dst.Xor(dst, r.parity)
 	return dst
-}
-
-// appendFault adds f unless a fault at the same position is present
-// (cached entries win on duplicates; the values agree anyway — stuck
-// values never change).
-func appendFault(s []failcache.Fault, f failcache.Fault) []failcache.Fault {
-	for _, g := range s {
-		if g.Pos == f.Pos {
-			return s
-		}
-	}
-	return append(s, f)
 }
 
 // Geometry returns the default near-square power-of-two matrix shape for
@@ -332,11 +272,11 @@ func (f *Factory) OverheadBits() int { return OverheadBits(f.Rows, f.Cols) }
 
 // New implements scheme.Factory.
 func (f *Factory) New() scheme.Scheme {
-	r, err := New(f.N, f.Rows, f.Cols, f.Depth, f.Cache.View(f.nextID.Add(1)-1))
+	r, err := New(f.N, f.Rows, f.Cols, f.Depth, nil)
 	if err != nil {
 		panic(err)
 	}
-	r.renew = func() failcache.View { return f.Cache.View(f.nextID.Add(1) - 1) }
+	r.w.UseBlockIDs(f.Cache, &f.nextID)
 	return r
 }
 

@@ -31,26 +31,16 @@ type Cached struct {
 	n        int
 	addrBits int
 	m        int
-	view     failcache.View
-	// renew, when set by the factory, hands Reset a fresh fail-cache
-	// view (and with it a fresh block ID), so a reused instance is
-	// indistinguishable from one the factory just built.
-	renew func() failcache.View
+	w        failcache.Writer
 
 	fields []int
 	inv    *bitvec.Vector
 	addr   []*bitvec.Vector // addrBitMasks(n), shared and read-only
 
-	phys, errs, mask *bitvec.Vector
-	subset           []int
-	wrong            []bool
-	faults           []failcache.Fault // merged cached + locally discovered, per pass
-	local            []failcache.Fault
-	errPos           []int
-	invGroups        []int
-
-	ops scheme.OpStats
-	tr  scheme.Tracer
+	mask      *bitvec.Vector
+	subset    []int
+	wrong     []bool
+	invGroups []int
 }
 
 var _ scheme.Scheme = (*Cached)(nil)
@@ -67,11 +57,9 @@ func NewCached(n, nGroups int, view failcache.View) (*Cached, error) {
 		n:        n,
 		addrBits: log2(n),
 		m:        log2(nGroups),
-		view:     view,
+		w:        failcache.NewWriter(n, view),
 		inv:      bitvec.New(nGroups),
 		addr:     addrBitMasks(n),
-		phys:     bitvec.New(n),
-		errs:     bitvec.New(n),
 		mask:     bitvec.New(n),
 	}
 	if c.m > c.addrBits {
@@ -89,30 +77,17 @@ func (c *Cached) Name() string { return fmt.Sprintf("SAFER%d-cache", 1<<c.m) }
 func (c *Cached) OverheadBits() int { return OverheadBits(c.n, 1<<c.m) }
 
 // OpStats implements scheme.OpReporter.
-func (c *Cached) OpStats() scheme.OpStats { return c.ops }
+func (c *Cached) OpStats() scheme.OpStats { return c.w.Ops }
 
 // SetTracer implements scheme.Traceable.
-func (c *Cached) SetTracer(t scheme.Tracer) { c.tr = t }
+func (c *Cached) SetTracer(t scheme.Tracer) { c.w.Tr = t }
 
-// Reset implements scheme.Resettable.  When the factory installed a
-// renew hook the instance also acquires a fresh fail-cache view, so a
-// finite cache sees a new block ID exactly as it would for a freshly
-// constructed instance.
+// Reset implements scheme.Resettable.  An instance built by a factory
+// also takes a fresh block ID (see failcache.Writer.Reset).
 func (c *Cached) Reset() {
-	if c.renew != nil {
-		c.view = c.renew()
-	}
+	c.w.Reset()
 	c.fields = c.fields[:0]
 	c.inv.Zero()
-	c.ops = scheme.OpStats{}
-	c.tr = nil
-}
-
-// trace reports a decision event when a tracer is attached.
-func (c *Cached) trace(e scheme.TraceEvent) {
-	if c.tr != nil {
-		c.tr.TraceEvent(e)
-	}
 }
 
 // fieldsFingerprint compresses a position set into a bitmask: the mask
@@ -210,69 +185,43 @@ func (c *Cached) Write(blk *pcm.Block, data *bitvec.Vector) error {
 	if data.Len() != c.n {
 		panic(fmt.Sprintf("safer: write of %d bits into %d-bit scheme", data.Len(), c.n))
 	}
-	c.ops.Requests++
-	c.local = c.local[:0]
-	for iter := 0; iter <= c.n; iter++ {
-		c.faults = c.view.AppendKnown(blk, c.faults[:0])
-		for _, f := range c.local {
-			c.faults = appendFault(c.faults, f)
+	return c.w.Write(blk, data, c)
+}
+
+// Encode implements failcache.Encoder: it re-selects the partition
+// fields and inverts every group holding a W fault.
+func (c *Cached) Encode(faults []failcache.Fault, data, phys *bitvec.Vector) string {
+	c.wrong = failcache.AppendWrong(c.wrong[:0], faults, data)
+	fields, ok := c.selectFields(faults, c.wrong)
+	if !ok {
+		return scheme.CauseNoFieldSet
+	}
+	if !equalInts(fields, c.fields) {
+		c.w.Ops.Repartitions++
+		if c.w.Tr != nil {
+			c.w.Trace(scheme.TraceEvent{
+				Kind: scheme.TraceRepartition,
+				From: fieldsFingerprint(c.fields), To: fieldsFingerprint(fields),
+				Faults: len(faults),
+			})
 		}
-		faults := c.faults
-		wrong := c.wrong[:0]
-		for _, f := range faults {
-			wrong = append(wrong, f.Val != data.Get(f.Pos))
-		}
-		c.wrong = wrong
-		fields, ok := c.selectFields(faults, wrong)
-		if !ok {
-			c.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(faults), Cause: scheme.CauseNoFieldSet})
-			return scheme.ErrUnrecoverable
-		}
-		if !equalInts(fields, c.fields) {
-			c.ops.Repartitions++
-			if c.tr != nil {
-				c.trace(scheme.TraceEvent{
-					Kind: scheme.TraceRepartition,
-					From: fieldsFingerprint(c.fields), To: fieldsFingerprint(fields),
-					Faults: len(faults),
-				})
-			}
-			c.fields = append(c.fields[:0], fields...)
-		}
-		c.inv.Zero()
-		for i, f := range faults {
-			if wrong[i] {
-				c.inv.Set(c.group(f.Pos), true)
-			}
-		}
-		c.phys.CopyFrom(data)
-		if c.inv.Any() {
-			c.ops.Inversions++
-			if c.tr != nil {
-				c.trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: c.inv.PopCount(), Faults: len(faults)})
-			}
-		}
-		c.invertGroups(c.phys)
-		blk.WriteRaw(c.phys)
-		c.ops.RawWrites++
-		blk.Verify(c.phys, c.errs)
-		c.ops.VerifyReads++
-		if !c.errs.Any() {
-			if iter > 0 {
-				c.ops.Salvages++
-				c.trace(scheme.TraceEvent{Kind: scheme.TraceSalvage, Passes: iter + 1, Faults: len(faults)})
-			}
-			return nil
-		}
-		c.errPos = c.errs.AppendOnes(c.errPos[:0])
-		for _, p := range c.errPos {
-			f := failcache.Fault{Pos: p, Val: !c.phys.Get(p)}
-			c.view.Record(f)
-			c.local = appendFault(c.local, f)
+		c.fields = append(c.fields[:0], fields...)
+	}
+	c.inv.Zero()
+	for i, f := range faults {
+		if c.wrong[i] {
+			c.inv.Set(c.group(f.Pos), true)
 		}
 	}
-	c.trace(scheme.TraceEvent{Kind: scheme.TraceDeath, Faults: len(c.local), Cause: scheme.CauseIterationLimit})
-	return scheme.ErrUnrecoverable
+	phys.CopyFrom(data)
+	if c.inv.Any() {
+		c.w.Ops.Inversions++
+		if c.w.Tr != nil {
+			c.w.Trace(scheme.TraceEvent{Kind: scheme.TraceInversion, Groups: c.inv.PopCount(), Faults: len(faults)})
+		}
+	}
+	c.invertGroups(phys)
+	return ""
 }
 
 // Read implements scheme.Scheme.
@@ -292,18 +241,6 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// appendFault adds f unless a fault at the same position is present
-// (cached entries win on duplicates; the values agree anyway — stuck
-// values never change).
-func appendFault(s []failcache.Fault, f failcache.Fault) []failcache.Fault {
-	for _, g := range s {
-		if g.Pos == f.Pos {
-			return s
-		}
-	}
-	return append(s, f)
 }
 
 // CachedFactory builds SAFERN-cache instances.
@@ -343,11 +280,11 @@ func (f *CachedFactory) OverheadBits() int { return OverheadBits(f.N, f.Groups) 
 
 // New implements scheme.Factory.
 func (f *CachedFactory) New() scheme.Scheme {
-	c, err := NewCached(f.N, f.Groups, f.Cache.View(f.nextID.Add(1)-1))
+	c, err := NewCached(f.N, f.Groups, nil)
 	if err != nil {
 		panic(err)
 	}
-	c.renew = func() failcache.View { return f.Cache.View(f.nextID.Add(1) - 1) }
+	c.w.UseBlockIDs(f.Cache, &f.nextID)
 	return c
 }
 

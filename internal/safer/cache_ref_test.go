@@ -15,13 +15,48 @@ import (
 
 // refCached is a reference SAFERN-cache: the per-subset group
 // projection and the full 2^m mask store the cached scheme used before
-// it moved to the address-XOR test and on-demand group masks.  It
-// borrows Cached's state (fields, inversion bits, counters, codec) so
-// only the partition logic differs between the two.
+// it moved to the address-XOR test and on-demand group masks, and its
+// own copy of the write–verify–record loop from before that loop moved
+// into failcache.Writer.  It borrows Cached's partition state (fields,
+// inversion bits, codec) but keeps its own fail-cache view, fault
+// lists, counters and tracer, so nothing of the loop under test is
+// shared with the reference.
 type refCached struct {
 	*Cached
 	masks      []*bitvec.Vector
 	masksBuilt bool
+
+	view       failcache.View
+	phys, errs *bitvec.Vector
+	wrong      []bool
+	faults     []failcache.Fault
+	local      []failcache.Fault
+	errPos     []int
+	ops        scheme.OpStats
+	tr         scheme.Tracer
+}
+
+func newRefCached(base *Cached, view failcache.View) *refCached {
+	return &refCached{Cached: base, view: view, phys: bitvec.New(base.n), errs: bitvec.New(base.n)}
+}
+
+func (c *refCached) OpStats() scheme.OpStats { return c.ops }
+
+func (c *refCached) SetTracer(t scheme.Tracer) { c.tr = t }
+
+func (c *refCached) trace(e scheme.TraceEvent) {
+	if c.tr != nil {
+		c.tr.TraceEvent(e)
+	}
+}
+
+func appendFault(s []failcache.Fault, f failcache.Fault) []failcache.Fault {
+	for _, g := range s {
+		if g.Pos == f.Pos {
+			return s
+		}
+	}
+	return append(s, f)
 }
 
 func (c *refCached) group(x int, fields []int) int {
@@ -227,8 +262,8 @@ func lockstepTrial(t *testing.T, n, groups int, finite bool, rng *xrand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := NewCached(n, groups, view())
-	ref := &refCached{Cached: base}
+	base, _ := NewCached(n, groups, nil)
+	ref := newRefCached(base, view())
 	var gotLog, wantLog eventLog
 	c.SetTracer(&gotLog)
 	ref.SetTracer(&wantLog)

@@ -298,8 +298,8 @@ func TestCachedMetadataAccessorsAndFiniteCache(t *testing.T) {
 	if got := s.OpStats(); got.Requests != 0 {
 		t.Fatalf("fresh OpStats = %+v", got)
 	}
-	// A finite cache forces the discovery/record path through
-	// mergeFaults and appendFault.
+	// A finite cache forces the discovery/record path of
+	// failcache.Writer.
 	finite := failcache.NewDirectMapped(16)
 	ff := MustCachedFactory(512, 32, finite)
 	blk := pcm.NewImmortalBlock(512)
